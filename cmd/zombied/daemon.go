@@ -428,10 +428,14 @@ func loadFeed(cfg config) (*feedSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := archive.Load(cfg.archiveDir)
+	// The feed replays whole streams for the daemon's lifetime, so it keeps
+	// heap copies and releases the mappings right away.
+	ms, err := archive.OpenMapped(cfg.archiveDir)
 	if err != nil {
 		return nil, err
 	}
+	set := ms.Materialize()
+	ms.Close()
 	return &feedSource{
 		updates:   set.Updates,
 		intervals: intervals,

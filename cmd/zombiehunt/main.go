@@ -84,8 +84,7 @@ func run(args []string, w io.Writer) (err error) {
 		hyperMin   = fs.Duration("hyper-min", zombie.DefaultHyperMinDuration, "minimum visibility for a hyper-specific prefix finding")
 		stormMin   = fs.Int("storm-events", zombie.DefaultStormMinEvents, "community changes within -storm-window that constitute a noise storm")
 		stormWin   = fs.Duration("storm-window", zombie.DefaultStormWindow, "rate window for community-storm detection")
-		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 = sequential; the report is identical either way)")
-		useMmap    = fs.Bool("mmap", true, "mmap the archive files and decode zero-copy instead of loading them into memory (the report is identical either way)")
+		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 or 1 = one worker, inline; the report is identical for any value)")
 		traceOut   = fs.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 		progress   = fs.Duration("progress", 0, "log a pipeline progress heartbeat to stderr at this interval (0 disables)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -164,57 +163,30 @@ func run(args []string, w io.Writer) (err error) {
 		return fmt.Errorf("no beacon intervals in [%s, %s]", from, to)
 	}
 
+	// Each rotated file stays its own mmap segment and the pipeline
+	// decodes record-aligned chunks straight out of the mappings — no
+	// concatenated in-memory copy of the archive. The mappings stay pinned
+	// until the run is done: dump bytes are read during -lifespans and the
+	// update segments again by -detect.
+	ms, err := archive.OpenMapped(*archiveDir)
+	if err != nil {
+		return err
+	}
+	defer ms.Close()
+	collectors := len(ms.Updates)
+	if !*jsonOut {
+		fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
+	}
 	det := &zombie.Detector{Threshold: *threshold, Parallelism: *parallel}
-	var (
-		rep        *zombie.Report
-		dumps      map[string][]byte
-		collectors int
-		// The archive bytes stay reachable for the optional -detect pass,
-		// in whichever form the ingest path produced them.
-		mappedUpdates map[string][][]byte
-		loadedUpdates map[string][]byte
-	)
-	if *useMmap {
-		// Zero-copy path: each rotated file stays its own mmap segment and
-		// the pipeline decodes record-aligned chunks straight out of the
-		// mappings — no concatenated in-memory copy of the archive. The
-		// mappings stay pinned until the run is done (borrowed decode
-		// scratch aliases them only during the fold, but dump bytes are
-		// read during -lifespans).
-		ms, merr := archive.OpenMapped(*archiveDir)
-		if merr != nil {
-			return merr
-		}
-		defer ms.Close()
-		collectors = len(ms.Updates)
-		dumps = ms.Dumps
-		mappedUpdates = ms.Updates
-		if !*jsonOut {
-			fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
-		}
-		if rep, err = det.DetectStreams(ms.Updates, intervals); err != nil {
-			return err
-		}
-	} else {
-		set, lerr := archive.Load(*archiveDir)
-		if lerr != nil {
-			return lerr
-		}
-		collectors = len(set.Updates)
-		dumps = set.Dumps
-		loadedUpdates = set.Updates
-		if !*jsonOut {
-			fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
-		}
-		if rep, err = det.Detect(set.Updates, intervals); err != nil {
-			return err
-		}
+	rep, err := det.DetectStreams(ms.Updates, intervals)
+	if err != nil {
+		return err
 	}
 
 	summary := zombie.Summarize(rep, zombie.NoisyConfig{}, 5)
 	var lr *zombie.LifespanReport
 	if *lifespans {
-		if lr, err = zombie.TrackLifespans(dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
+		if lr, err = zombie.TrackLifespans(ms.Dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
 			return err
 		}
 	}
@@ -239,12 +211,7 @@ func run(args []string, w io.Writer) (err error) {
 		}
 		// Track-all history: the anomaly detectors see every prefix in the
 		// archive, not just beacon prefixes.
-		var h *zombie.History
-		if mappedUpdates != nil {
-			h, err = zombie.BuildHistoryStreams(mappedUpdates, nil, *parallel)
-		} else {
-			h, err = zombie.BuildHistoryParallel(loadedUpdates, nil, *parallel)
-		}
+		h, err := zombie.BuildHistoryStreams(ms.Updates, nil, *parallel)
 		if err != nil {
 			return err
 		}

@@ -6,13 +6,13 @@
 //	<dir>/<collector>/bview.mrt                    (RIB dump snapshots)
 //
 // Because MRT records are self-delimiting, the rotated update files of a
-// collector concatenate (in name order) into one valid stream, which is
-// how Load returns them.
+// collector concatenate (in name order) into one valid stream. OpenMapped
+// reads an archive as per-file mapped segments of that stream, and
+// MappedSet.Materialize concatenates them when a caller needs heap copies.
 package archive
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,74 +26,6 @@ import (
 type Set struct {
 	Updates map[string][]byte
 	Dumps   map[string][]byte
-}
-
-// Load reads an archive directory into memory. Collectors are
-// subdirectories; all their updates*.mrt files are concatenated in
-// lexical (= chronological) order into one exactly-sized buffer per
-// collector (sizes are summed up front, so concatenation never
-// reallocates or holds two copies). Missing bview.mrt files are fine.
-//
-// Load materializes every stream, so it is bounded by available memory —
-// roughly the archive's on-disk size. Month-scale archives should be
-// streamed instead: OpenUpdates reads a collector's rotated files
-// sequentially without loading them, and the zombied daemon's durable
-// event store (-store-dir) replaces bulk reloads entirely.
-func Load(dir string) (*Set, error) {
-	names, err := Collectors(dir)
-	if err != nil {
-		return nil, err
-	}
-	set := &Set{
-		Updates: make(map[string][]byte),
-		Dumps:   make(map[string][]byte),
-	}
-	for _, name := range names {
-		sub := filepath.Join(dir, name)
-		files, err := updateFiles(sub)
-		if err != nil {
-			return nil, err
-		}
-		if dump := filepath.Join(sub, "bview.mrt"); fileExists(dump) {
-			b, err := os.ReadFile(dump)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			set.Dumps[name] = b
-		}
-		total := int64(0)
-		sizes := make([]int64, len(files))
-		for i, uf := range files {
-			fi, err := os.Stat(uf)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			sizes[i] = fi.Size()
-			total += fi.Size()
-		}
-		if total == 0 {
-			continue
-		}
-		stream := make([]byte, total)
-		off := int64(0)
-		for i, uf := range files {
-			f, err := os.Open(uf)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			_, err = io.ReadFull(f, stream[off:off+sizes[i]])
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("archive: reading %s: %w", uf, err)
-			}
-			off += sizes[i]
-		}
-		set.Updates[name] = stream
-	}
-	if len(set.Updates) == 0 {
-		return nil, fmt.Errorf("archive: no <collector>/updates*.mrt files under %s", dir)
-	}
-	return set, nil
 }
 
 // Collectors lists the collector subdirectories of an archive, sorted.
@@ -135,65 +67,6 @@ func updateFiles(sub string) ([]string, error) {
 func fileExists(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && !fi.IsDir()
-}
-
-// OpenUpdates streams one collector's rotated update files concatenated
-// in lexical order, opening each file only when the previous one is
-// exhausted — constant memory no matter how large the archive. Because
-// MRT records are self-delimiting, the returned reader is one valid MRT
-// stream (feed it straight to mrt.NewReader). Close releases the file
-// currently open.
-func OpenUpdates(dir, name string) (io.ReadCloser, error) {
-	files, err := updateFiles(filepath.Join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("archive: no update files for collector %s under %s", name, dir)
-	}
-	return &fileChain{paths: files}, nil
-}
-
-// fileChain is a lazy io.ReadCloser over a sequence of files.
-type fileChain struct {
-	paths []string
-	next  int
-	cur   *os.File
-}
-
-func (c *fileChain) Read(p []byte) (int, error) {
-	for {
-		if c.cur == nil {
-			if c.next >= len(c.paths) {
-				return 0, io.EOF
-			}
-			f, err := os.Open(c.paths[c.next])
-			if err != nil {
-				return 0, fmt.Errorf("archive: %w", err)
-			}
-			c.cur = f
-			c.next++
-		}
-		n, err := c.cur.Read(p)
-		if err == io.EOF {
-			c.cur.Close()
-			c.cur = nil
-			if n > 0 {
-				return n, nil
-			}
-			continue // next file
-		}
-		return n, err
-	}
-}
-
-func (c *fileChain) Close() error {
-	if c.cur == nil {
-		return nil
-	}
-	err := c.cur.Close()
-	c.cur = nil
-	return err
 }
 
 // Write stores an in-memory archive in the single-file layout.

@@ -2,10 +2,10 @@ package archive
 
 import (
 	"bytes"
-	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +38,18 @@ func feed(t *testing.T, f *collector.Fleet, hours int) netsim.Session {
 	return sess
 }
 
+// openMaterialized reads an archive through OpenMapped and returns heap
+// copies of its streams, closing the mappings.
+func openMaterialized(t *testing.T, dir string) *Set {
+	t.Helper()
+	ms, err := OpenMapped(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	return ms.Materialize()
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := collector.NewFleet()
@@ -47,10 +59,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	if err := Write(dir, set); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openMaterialized(t, dir)
 	if !bytes.Equal(got.Updates["rrc25"], set.Updates["rrc25"]) {
 		t.Error("updates differ after round trip")
 	}
@@ -124,10 +133,29 @@ func TestWriteFleetAndLoadRotated(t *testing.T) {
 		}
 		t.Fatalf("files = %v, want 4 updates + bview", names)
 	}
-	set, err := Load(dir)
+	names, err := Collectors(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(names) != 1 || names[0] != "rrc25" {
+		t.Fatalf("Collectors = %v, want [rrc25]", names)
+	}
+	ms, err := OpenMapped(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	// One segment per rotated file, in file-name (= chronological) order.
+	segs := ms.Updates["rrc25"]
+	if len(segs) != 4 {
+		t.Fatalf("mapped segments = %d, want 4 rotated files", len(segs))
+	}
+	for i, seg := range segs {
+		if want := c.Segments()[i].Data; !bytes.Equal(seg, want) {
+			t.Errorf("segment %d differs from rotated file %d", i, i)
+		}
+	}
+	set := ms.Materialize()
 	recs, err := mrt.ReadAll(bytes.NewReader(set.Updates["rrc25"]))
 	if err != nil {
 		t.Fatal(err)
@@ -147,92 +175,25 @@ func TestWriteFleetAndLoadRotated(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(t.TempDir()); err == nil {
-		t.Error("empty archive dir accepted")
-	}
-	if _, err := Load("/nonexistent/archive"); err == nil {
-		t.Error("missing dir accepted")
-	}
-}
-
-func TestOpenUpdatesStreamsRotatedFiles(t *testing.T) {
+	// A missing bview.mrt is fine: the collector just has no dumps.
 	dir := t.TempDir()
 	f := collector.NewFleet()
-	f.Collector("rrc25").SetRotatePeriod(time.Hour)
-	feed(t, f, 4)
-	if err := WriteFleet(dir, f); err != nil {
+	feed(t, f, 2)
+	if err := Write(dir, &Set{Updates: f.UpdatesData()}); err != nil {
 		t.Fatal(err)
 	}
-	set, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
+	set := openMaterialized(t, dir)
+	if len(set.Updates["rrc25"]) == 0 || len(set.Dumps) != 0 {
+		t.Errorf("archive without bview.mrt: %d update bytes, %d dump streams", len(set.Updates["rrc25"]), len(set.Dumps))
 	}
 
-	names, err := Collectors(dir)
-	if err != nil {
+	// Dumps alone are not an archive: there must be update files.
+	dumpsOnly := t.TempDir()
+	f.SnapshotRIBs(t0.Add(8 * time.Hour))
+	if err := Write(dumpsOnly, &Set{Dumps: f.DumpData()}); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "rrc25" {
-		t.Fatalf("Collectors = %v, want [rrc25]", names)
-	}
-
-	rc, err := OpenUpdates(dir, "rrc25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read through a tiny buffer so every file-boundary transition inside
-	// fileChain.Read is exercised.
-	var got bytes.Buffer
-	buf := make([]byte, 7)
-	for {
-		n, err := rc.Read(buf)
-		got.Write(buf[:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), set.Updates["rrc25"]) {
-		t.Fatalf("streamed %d bytes differ from Load's %d-byte stream",
-			got.Len(), len(set.Updates["rrc25"]))
-	}
-	// The concatenated stream decodes as valid MRT.
-	recs, err := mrt.ReadAll(bytes.NewReader(got.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 8 {
-		t.Errorf("streamed %d records, want 8", len(recs))
-	}
-}
-
-func TestOpenUpdatesCloseMidStream(t *testing.T) {
-	dir := t.TempDir()
-	f := collector.NewFleet()
-	f.Collector("rrc25").SetRotatePeriod(time.Hour)
-	feed(t, f, 4)
-	if err := WriteFleet(dir, f); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := OpenUpdates(dir, "rrc25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Read(make([]byte, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := OpenUpdates(dir, "rrc99"); err == nil {
-		t.Error("missing collector accepted")
+	if _, err := OpenMapped(dumpsOnly); err == nil || !strings.Contains(err.Error(), "no <collector>/updates*.mrt files") {
+		t.Errorf("archive without update files: err = %v", err)
 	}
 }

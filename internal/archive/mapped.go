@@ -78,17 +78,6 @@ func OpenMapped(dir string) (*MappedSet, error) {
 	return set, nil
 }
 
-// Mapped reports whether at least one segment is a real mmap (false means
-// every segment fell back to a heap read).
-func (s *MappedSet) Mapped() bool {
-	for _, m := range s.maps {
-		if m.Mapped() {
-			return true
-		}
-	}
-	return false
-}
-
 // Close releases every mapping. Slices handed out before Close must not
 // be touched afterwards.
 func (s *MappedSet) Close() {
@@ -99,9 +88,9 @@ func (s *MappedSet) Close() {
 }
 
 // Materialize concatenates the mapped segments into the in-memory Set
-// form, copying the bytes so they survive Close. It exists for
-// compatibility bridges and tests; hot paths should consume Updates
-// directly.
+// form, copying the bytes so they survive Close — for consumers that hold
+// whole streams past the run (the zombied replay feed). Batch paths
+// should consume Updates directly.
 func (s *MappedSet) Materialize() *Set {
 	out := &Set{
 		Updates: make(map[string][]byte, len(s.Updates)),

@@ -282,7 +282,10 @@ func checkSpeedup(w io.Writer, base *Baseline, run *Run, g SpeedupGate, numCPU i
 	return true
 }
 
-// checkExact gates a machine-independent metric (allocs/op, B/op).
+// checkExact gates a metric compared on every machine (allocs/op, B/op).
+// allocs/op is machine-independent; B/op can move with the core count
+// (GOMAXPROCS-sized runtime and pipeline state), so a B/op fence holds
+// on the core count its baseline records.
 // Unlike ns/op, a zero baseline is a real fence — "this path is
 // allocation-free" — so want == 0 fails on any nonzero value instead of
 // skipping. A negative want opts the field out.

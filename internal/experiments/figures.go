@@ -61,8 +61,8 @@ func runFig2(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ths := fig2Thresholds()
-	all := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{})
-	excl := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{ExcludePeerAS: d.NoisyPeerAS})
+	all := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{}, 0)
+	excl := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{ExcludePeerAS: d.NoisyPeerAS}, 0)
 
 	tbl := &analysis.Table{
 		Title:  "Fig 2: outbreaks and affected announcements vs threshold",

@@ -3,6 +3,7 @@ package livefeed
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -332,5 +333,45 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	}
 	if fmt.Sprint(m["subscribers"]) != "0" {
 		t.Errorf("subscribers = %d after close, want 0", m["subscribers"])
+	}
+}
+
+// TestNextFrameTimeoutNoLostWakeup loops short idle waits on an empty
+// subscriber: every one must end in errIdle. The wait's timer broadcast
+// must not be able to fire before the deadline is taken, nor land between
+// the deadline check and cond.Wait — either loses the only wake-up and
+// the caller sleeps forever. GOMAXPROCS(1) makes those interleavings
+// likely, and microsecond waits make them near-certain; the watchdog
+// turns a hang into a failure.
+func TestNextFrameTimeoutNoLostWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := NewBroker(Config{})
+	defer b.Close()
+	sub, _, err := b.Subscribe(Filter{}, PolicyDropOldest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		wait  time.Duration
+		waits int
+	}{{time.Microsecond, 5000}, {time.Millisecond, 2000}} {
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < tc.waits; i++ {
+				if _, err := sub.NextFrameTimeout(tc.wait); !errors.Is(err, errIdle) {
+					done <- fmt.Errorf("NextFrameTimeout(%v) wait %d: err = %v, want errIdle", tc.wait, i, err)
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("NextFrameTimeout(%v) never returned: lost wake-up", tc.wait)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestAnomalyDetectorsBitIdentical(t *testing.T) {
 		}
 		// Parallel sharded builds, evaluated sequentially and in parallel.
 		for _, workers := range diffParallelism {
-			h, err := zombie.BuildHistoryParallel(sc.Updates, nil, workers)
+			h, err := zombie.BuildHistoryStreams(wholeStreams(sc.Updates), nil, workers)
 			if err != nil {
 				t.Fatalf("seed %d: workers %d: %v", seed, workers, err)
 			}

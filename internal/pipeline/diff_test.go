@@ -1,251 +1,82 @@
-// Differential test harness: the parallel pipeline must be observationally
-// identical to the sequential path. Randomized netsim scenarios — session
-// resets, withdrawals, zombie faults — are detected both ways and the
-// reports compared with deep equality at several parallelism levels.
+// Differential test harness: the multi-worker pipeline must be
+// observationally identical to the one-worker path of parallelism 0.
+// Randomized netsim scenarios (internal/difftest) — session resets,
+// withdrawals, zombie faults — are built and detected at several
+// parallelism levels and the results compared with deep equality. The
+// parallelism-0 results are compared against the test-only oracles
+// (reference store, row sweep, sequential lifespan scan) in
+// internal/zombie, where the oracles live.
 package pipeline_test
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
-	"net/netip"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
-	"zombiescope/internal/collector"
+	"zombiescope/internal/difftest"
 	"zombiescope/internal/mrt"
-	"zombiescope/internal/netsim"
-	"zombiescope/internal/topology"
 	"zombiescope/internal/zombie"
 )
 
 // diffParallelism is the set of worker counts the harness checks against
-// the sequential output.
+// the parallelism-0 output.
 var diffParallelism = []int{1, 2, 8}
 
-// diffGraph is the harness topology:
-//
-//	   1 ===== 2        (Tier-1 peering)
-//	  / \     / \
-//	10   11--+   12     (11 is multihomed to both Tier-1s)
-//	 |    |       |
-//	100  200     300    (100 = beacon origin; 200, 300 = collector peers)
-func diffGraph(t *testing.T) *topology.Graph {
+// genScenario generates the campaign of seed.
+func genScenario(t *testing.T, seed uint64) *difftest.Scenario {
 	t.Helper()
-	g := topology.New()
-	for _, a := range []struct {
-		asn  bgp.ASN
-		tier int
-	}{{1, 1}, {2, 1}, {10, 2}, {11, 2}, {12, 2}, {100, 3}, {200, 3}, {300, 3}} {
-		g.AddAS(a.asn, "", a.tier)
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.AddP2P(1, 2))
-	must(g.AddC2P(10, 1))
-	must(g.AddC2P(11, 1))
-	must(g.AddC2P(11, 2))
-	must(g.AddC2P(12, 2))
-	must(g.AddC2P(100, 10))
-	must(g.AddC2P(200, 11))
-	must(g.AddC2P(300, 12))
-	return g
-}
-
-const diffOrigin bgp.ASN = 100
-
-var diffPrefixPool = []netip.Prefix{
-	netip.MustParsePrefix("2a0d:3dc1:1200::/48"),
-	netip.MustParsePrefix("2a0d:3dc1:1300::/48"),
-	netip.MustParsePrefix("93.175.146.0/24"),
-	netip.MustParsePrefix("93.175.147.0/24"),
-}
-
-type diffScenario struct {
-	updates   map[string][]byte
-	dumps     map[string][]byte
-	intervals []beacon.Interval
-}
-
-// genScenario simulates one randomized beacon campaign and returns its
-// collector archives. Everything is driven by the seed, so a failure
-// reproduces from the seed alone.
-func genScenario(t *testing.T, seed uint64) diffScenario {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(seed, 0xd1ff))
-	sim := netsim.New(diffGraph(t), netsim.Config{Seed: seed + 1})
-	fleet := collector.NewFleet()
-	sim.SetSink(fleet)
-
-	sessions := []netsim.Session{
-		{Collector: "rrc00", PeerAS: 200, PeerIP: netip.MustParseAddr("2001:db8:feed::200"), AFI: bgp.AFIIPv6},
-		{Collector: "rrc00", PeerAS: 200, PeerIP: netip.MustParseAddr("192.0.2.200"), AFI: bgp.AFIIPv4},
-		{Collector: "rrc01", PeerAS: 300, PeerIP: netip.MustParseAddr("2001:db8:feed::300"), AFI: bgp.AFIIPv6},
-		{Collector: "rrc01", PeerAS: 300, PeerIP: netip.MustParseAddr("192.0.2.130"), AFI: bgp.AFIIPv4},
-	}
-	for _, s := range sessions {
-		if err := sim.AddCollectorSession(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	start := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
-	prefixes := diffPrefixPool[:2+rng.IntN(len(diffPrefixPool)-1)]
-	rounds := 6 + rng.IntN(6)
-	period := 4 * time.Hour
-	end := start.Add(time.Duration(rounds) * period)
-
-	// Faults, each with its own dice roll. Wedges and withdrawal drops are
-	// the paper's zombie mechanisms; StickRIB models the stuck-FIB case.
-	faults := sim.Faults()
-	if rng.Float64() < 0.5 {
-		ws := start.Add(time.Duration(rng.IntN(rounds)) * period)
-		faults.WedgeLink(1, 11, 0, ws, ws.Add(time.Duration(1+rng.IntN(3*rounds))*time.Hour), nil)
-	}
-	if rng.Float64() < 0.4 {
-		faults.DropWithdrawals(2, 11, 0.3+0.7*rng.Float64(), nil)
-	}
-	if rng.Float64() < 0.3 {
-		faults.DropCollectorWithdrawals(200, 0.5+0.5*rng.Float64(), nil)
-	}
-	if rng.Float64() < 0.3 {
-		faults.StickRIB(10, nil)
-	}
-	if rng.Float64() < 0.2 {
-		faults.GlobalWithdrawalDrop(0.2*rng.Float64(), nil)
-	}
-
-	var intervals []beacon.Interval
-	for _, p := range prefixes {
-		for r := 0; r < rounds; r++ {
-			at := start.Add(time.Duration(r) * period)
-			agg := &bgp.Aggregator{ASN: diffOrigin, Addr: beacon.AggregatorClock(at)}
-			if err := sim.ScheduleAnnounce(at, diffOrigin, p, agg); err != nil {
-				t.Fatal(err)
-			}
-			wd := at.Add(2 * time.Hour)
-			if err := sim.ScheduleWithdraw(wd, diffOrigin, p); err != nil {
-				t.Fatal(err)
-			}
-			intervals = append(intervals, beacon.Interval{
-				Prefix: p, AnnounceAt: at, WithdrawAt: wd, End: at.Add(period),
-			})
-		}
-	}
-
-	// Session churn: AS-level resets resurrect stuck routes; collector
-	// session resets exercise the STATE-record handling.
-	for i, n := 0, rng.IntN(4); i < n; i++ {
-		pairs := [][2]bgp.ASN{{10, 1}, {11, 1}, {11, 2}, {12, 2}}
-		pr := pairs[rng.IntN(len(pairs))]
-		at := start.Add(time.Duration(rng.IntN(rounds*4)) * time.Hour)
-		if err := sim.ScheduleSessionReset(at, pr[0], pr[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := 0, rng.IntN(3); i < n; i++ {
-		sess := sessions[rng.IntN(len(sessions))]
-		at := start.Add(time.Duration(rng.IntN(rounds*4)) * time.Hour)
-		if err := sim.ScheduleCollectorSessionReset(at, sess); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sim.EstablishCollectorSessions(start.Add(-time.Hour))
-	for at := start.Add(8 * time.Hour); at.Before(end.Add(24 * time.Hour)); at = at.Add(8 * time.Hour) {
-		sim.Run(at)
-		fleet.SnapshotRIBs(at)
-	}
-	sim.RunAll()
-	if err := fleet.Err(); err != nil {
+	sc, err := difftest.Generate(seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return diffScenario{
-		updates:   fleet.UpdatesData(),
-		dumps:     fleet.DumpData(),
-		intervals: intervals,
-	}
-}
-
-func diffPrefixes(intervals []beacon.Interval) []netip.Prefix {
-	seen := make(map[netip.Prefix]bool)
-	var out []netip.Prefix
-	for _, iv := range intervals {
-		if !seen[iv.Prefix] {
-			seen[iv.Prefix] = true
-			out = append(out, iv.Prefix)
-		}
-	}
-	return out
+	return sc
 }
 
 // TestParallelMatchesSequential is the differential harness: randomized
-// scenarios, every parallelism level, deep equality on every report.
+// scenarios, every parallelism level, deep equality on every report
+// against the parallelism-0 results. Those results are in turn pinned to
+// the test-only oracles (reference store, row sweep, sequential lifespan
+// scan) by TestOraclesMatchSequential in internal/zombie, at the same 50
+// seeds.
 func TestParallelMatchesSequential(t *testing.T) {
 	const scenarios = 50
 	thresholds := []time.Duration{30 * time.Minute, 90 * time.Minute, 3 * time.Hour}
 	for seed := uint64(1); seed <= scenarios; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
+			track := zombie.NewTrackSet(sc.Prefixes())
 
-			seqHist, err := zombie.BuildHistory(sc.updates, track)
+			seqHist, err := zombie.BuildHistory(sc.Updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seqDet := &zombie.Detector{RecordPaths: true}
-			seqRep := seqDet.DetectFromHistory(seqHist, sc.intervals)
-			seqSweep := zombie.Sweep(seqHist, sc.intervals, thresholds, zombie.FilterOptions{})
-			seqLife, err := zombie.TrackLifespans(sc.dumps, sc.intervals, zombie.LifespanConfig{})
+			seqRep := seqDet.DetectFromHistory(seqHist, sc.Intervals)
+			seqSweep := zombie.Sweep(seqHist, sc.Intervals, thresholds, zombie.FilterOptions{}, 0)
+			seqLife, err := zombie.TrackLifespans(sc.Dumps, sc.Intervals, zombie.LifespanConfig{})
 			if err != nil {
 				t.Fatal(err)
-			}
-
-			// Columnar store vs the original map store: the reference
-			// build shares only recordEvents with the production path
-			// (allocating decode, map-of-maps layout), so agreement here
-			// pins the columnar layout, the interned decode, and the
-			// borrowed-buffer reader all at once.
-			refHist, err := zombie.BuildHistoryReference(sc.updates, track)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDet := &zombie.Detector{RecordPaths: true}
-			if rep := refDet.DetectFromHistory(refHist, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
-				t.Errorf("columnar store: Report diverges from reference store")
-			}
-			if sw := zombie.Sweep(refHist, sc.intervals, thresholds, zombie.FilterOptions{}); !reflect.DeepEqual(sw, seqSweep) {
-				t.Errorf("columnar store: Sweep diverges from reference store")
-			}
-			legacy := &zombie.LegacyDetector{Seed: seed}
-			if got, want := legacy.Detect(seqHist, sc.intervals), legacy.Detect(refHist, sc.intervals); !reflect.DeepEqual(got, want) {
-				t.Errorf("columnar store: legacy Report diverges from reference store")
 			}
 
 			for _, par := range diffParallelism {
-				h, err := zombie.BuildHistoryParallel(sc.updates, track, par)
+				h, err := zombie.BuildHistoryStreams(wholeStreams(sc.Updates), track, par)
 				if err != nil {
-					t.Fatalf("parallelism %d: BuildHistoryParallel: %v", par, err)
+					t.Fatalf("parallelism %d: BuildHistoryStreams: %v", par, err)
 				}
 				if !reflect.DeepEqual(h, seqHist) {
 					t.Errorf("parallelism %d: History diverges from sequential", par)
 				}
 				det := &zombie.Detector{RecordPaths: true, Parallelism: par}
-				if rep := det.DetectFromHistory(h, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
+				if rep := det.DetectFromHistory(h, sc.Intervals); !reflect.DeepEqual(rep, seqRep) {
 					t.Errorf("parallelism %d: Report diverges from sequential", par)
 				}
-				if sw := zombie.SweepParallel(h, sc.intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, seqSweep) {
+				if sw := zombie.Sweep(h, sc.Intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, seqSweep) {
 					t.Errorf("parallelism %d: Sweep diverges from sequential", par)
 				}
-				lr, err := zombie.TrackLifespans(sc.dumps, sc.intervals, zombie.LifespanConfig{Parallelism: par})
+				lr, err := zombie.TrackLifespans(sc.Dumps, sc.Intervals, zombie.LifespanConfig{Parallelism: par})
 				if err != nil {
 					t.Fatalf("parallelism %d: TrackLifespans: %v", par, err)
 				}
@@ -258,6 +89,57 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestColumnarKernelMatchesRowSweep is the worker-count half of the kernel
+// differential: across detector modes, the columnar kernel split over 1,
+// 2 and 8 workers must produce reports deep-equal to the one-range kernel
+// of parallelism 0, which TestColumnarKernelMatchesRowSweep in
+// internal/zombie holds to the row-sweep oracle. Randomized scenarios, 50
+// seeds.
+func TestColumnarKernelMatchesRowSweep(t *testing.T) {
+	const scenarios = 50
+	for seed := uint64(1); seed <= scenarios; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sc := genScenario(t, seed)
+			track := zombie.NewTrackSet(sc.Prefixes())
+			h, err := zombie.BuildHistory(sc.Updates, track)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []struct {
+				name string
+				det  zombie.Detector
+			}{
+				{"default", zombie.Detector{}},
+				{"paths", zombie.Detector{RecordPaths: true}},
+				{"nosessions", zombie.Detector{IgnoreSessionState: true, RecordPaths: true}},
+				{"threshold30m", zombie.Detector{Threshold: 30 * time.Minute, RecordPaths: true}},
+			} {
+				one := mode.det
+				want := one.DetectFromHistory(h, sc.Intervals)
+				for _, par := range []int{1, 2, 8} {
+					col := mode.det
+					col.Parallelism = par
+					if got := col.DetectFromHistory(h, sc.Intervals); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s, parallelism %d: columnar kernel diverges from parallelism 0", mode.name, par)
+					}
+				}
+				if t.Failed() {
+					break
+				}
+			}
+		})
+	}
+}
+
+// wholeStreams presents each archive as a one-segment stream.
+func wholeStreams(updates map[string][]byte) map[string][][]byte {
+	streams := make(map[string][][]byte, len(updates))
+	for name, data := range updates {
+		streams[name] = [][]byte{data}
+	}
+	return streams
 }
 
 // splitStream cuts an MRT byte stream into nseg record-aligned segments
@@ -287,46 +169,6 @@ func splitStream(t *testing.T, data []byte, nseg int) [][]byte {
 	return segs
 }
 
-// TestColumnarKernelMatchesRowSweep is the kernel differential: the same
-// history, evaluated by the row-sweep reference and by the batched
-// columnar kernel, across detector modes and worker counts, must produce
-// deep-equal reports. Randomized scenarios, 50 seeds.
-func TestColumnarKernelMatchesRowSweep(t *testing.T) {
-	const scenarios = 50
-	for seed := uint64(1); seed <= scenarios; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-			h, err := zombie.BuildHistory(sc.updates, track)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []struct {
-				name string
-				det  zombie.Detector
-			}{
-				{"default", zombie.Detector{}},
-				{"paths", zombie.Detector{RecordPaths: true}},
-				{"nosessions", zombie.Detector{IgnoreSessionState: true, RecordPaths: true}},
-				{"threshold30m", zombie.Detector{Threshold: 30 * time.Minute, RecordPaths: true}},
-			} {
-				rows := mode.det
-				want := rows.DetectFromHistoryRows(h, sc.intervals)
-				for _, par := range []int{0, 1, 2, 8} {
-					col := mode.det
-					col.Parallelism = par
-					if got := col.DetectFromHistory(h, sc.intervals); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s, parallelism %d: columnar kernel diverges from row sweep", mode.name, par)
-					}
-				}
-				if t.Failed() {
-					break
-				}
-			}
-		})
-	}
-}
-
 // TestStreamsBuildMatchesConcatenated: building from segmented streams
 // (the mmap ingest shape) must produce the identical History and Report
 // as building from each collector's concatenated stream.
@@ -334,13 +176,13 @@ func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-			want, err := zombie.BuildHistory(sc.updates, track)
+			track := zombie.NewTrackSet(sc.Prefixes())
+			want, err := zombie.BuildHistory(sc.Updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}
-			streams := make(map[string][][]byte, len(sc.updates))
-			for name, data := range sc.updates {
+			streams := make(map[string][][]byte, len(sc.Updates))
+			for name, data := range sc.Updates {
 				streams[name] = splitStream(t, data, 3)
 			}
 			for _, par := range diffParallelism {
@@ -353,13 +195,13 @@ func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 				}
 			}
 			seq := &zombie.Detector{RecordPaths: true}
-			wantRep, err := seq.Detect(sc.updates, sc.intervals)
+			wantRep, err := seq.Detect(sc.Updates, sc.Intervals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range diffParallelism {
 				d := &zombie.Detector{RecordPaths: true, Parallelism: par}
-				got, err := d.DetectStreams(streams, sc.intervals)
+				got, err := d.DetectStreams(streams, sc.Intervals)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -378,26 +220,26 @@ func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 // GOMAXPROCS change.
 func TestScalingBitIdentical(t *testing.T) {
 	sc := genScenario(t, 99)
-	track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
+	track := zombie.NewTrackSet(sc.Prefixes())
 	thresholds := []time.Duration{30 * time.Minute, 90 * time.Minute, 3 * time.Hour}
-	wantHist, err := zombie.BuildHistory(sc.updates, track)
+	wantHist, err := zombie.BuildHistory(sc.Updates, track)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSweep := zombie.Sweep(wantHist, sc.intervals, thresholds, zombie.FilterOptions{})
+	wantSweep := zombie.Sweep(wantHist, sc.Intervals, thresholds, zombie.FilterOptions{}, 0)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, par := range diffParallelism {
-			h, err := zombie.BuildHistoryParallel(sc.updates, track, par)
+			h, err := zombie.BuildHistoryStreams(wholeStreams(sc.Updates), track, par)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d workers=%d: %v", procs, par, err)
 			}
 			if !reflect.DeepEqual(h, wantHist) {
 				t.Errorf("GOMAXPROCS=%d workers=%d: History diverges", procs, par)
 			}
-			if sw := zombie.SweepParallel(h, sc.intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, wantSweep) {
+			if sw := zombie.Sweep(h, sc.Intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, wantSweep) {
 				t.Errorf("GOMAXPROCS=%d workers=%d: Sweep diverges", procs, par)
 			}
 		}
@@ -409,13 +251,13 @@ func TestScalingBitIdentical(t *testing.T) {
 func TestDetectEndToEndParallel(t *testing.T) {
 	sc := genScenario(t, 1234)
 	seq := &zombie.Detector{}
-	want, err := seq.Detect(sc.updates, sc.intervals)
+	want, err := seq.Detect(sc.Updates, sc.Intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range diffParallelism {
 		d := &zombie.Detector{Parallelism: par}
-		got, err := d.Detect(sc.updates, sc.intervals)
+		got, err := d.Detect(sc.Updates, sc.Intervals)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -5,11 +5,12 @@
 // deterministically.
 //
 // The engine is deliberately generic: it knows MRT framing but nothing
-// about zombie detection. The zombie package builds its sharded history
-// reconstruction on top of FoldRecords and Engine.For, which is what keeps
-// the parallel path provably equivalent to the sequential one — both paths
-// share the per-record semantics and differ only in scheduling, and the
-// differential harness in this package checks the outputs bit for bit.
+// about zombie detection. The zombie package builds its history
+// reconstruction and lifespan tracking on top of FoldStreams and
+// Engine.For at every worker count — a one-worker engine runs every stage
+// inline in stream order — so the outputs differ only in scheduling, and
+// the differential harnesses check them bit for bit against sequential
+// oracles.
 package pipeline
 
 import (

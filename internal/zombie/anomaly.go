@@ -171,8 +171,8 @@ func (r *AnomalyReport) Filter(detector string) []Anomaly {
 }
 
 // RunAnomalyDetectors evaluates every detector against the shared
-// history. With parallelism > 1 detectors run concurrently on pipeline
-// workers; findings land in per-detector slots and are assembled in
+// history, concurrently on up to parallelism pipeline workers (<= 1 runs
+// them inline); findings land in per-detector slots and are assembled in
 // detector order, so the report is bit-identical for any worker count.
 func RunAnomalyDetectors(h *History, win Window, dets []AnomalyDetector, parallelism int) *AnomalyReport {
 	sp := obs.StartSpan("zombie.anomalies")
@@ -187,14 +187,8 @@ func RunAnomalyDetectors(h *History, win Window, dets []AnomalyDetector, paralle
 		sortAnomalies(findings)
 		slots[i] = findings
 	}
-	if parallelism > 1 {
-		e := &pipeline.Engine{Workers: parallelism, Trace: sp}
-		e.For(len(dets), eval)
-	} else {
-		for i := range dets {
-			eval(i)
-		}
-	}
+	e := &pipeline.Engine{Workers: max(parallelism, 1), Trace: sp}
+	e.For(len(dets), eval)
 	rep := &AnomalyReport{Window: win, ByDetector: make(map[string]int, len(dets))}
 	for i, findings := range slots {
 		rep.ByDetector[dets[i].Name()] = len(findings)

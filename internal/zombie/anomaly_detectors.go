@@ -334,14 +334,8 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 		flush()
 		slots[ki] = out
 	}
-	if d.Parallelism > 1 {
-		e := &pipeline.Engine{Workers: d.Parallelism}
-		e.For(len(h.pairKeys), eval)
-	} else {
-		for ki := range h.pairKeys {
-			eval(ki)
-		}
-	}
+	e := &pipeline.Engine{Workers: max(d.Parallelism, 1)}
+	e.For(len(h.pairKeys), eval)
 	var out []Anomaly
 	for _, as := range slots {
 		out = append(out, as...)
@@ -376,14 +370,8 @@ func (h *History) sessSpan(pi uint32) []histEvent {
 func sweepPrefixes(h *History, parallelism int, eval func(xi uint32, p netip.Prefix) []Anomaly) []Anomaly {
 	slots := make([][]Anomaly, len(h.prefixes))
 	run := func(i int) { slots[i] = eval(uint32(i), h.prefixes[i]) }
-	if parallelism > 1 {
-		e := &pipeline.Engine{Workers: parallelism}
-		e.For(len(h.prefixes), run)
-	} else {
-		for i := range h.prefixes {
-			run(i)
-		}
-	}
+	e := &pipeline.Engine{Workers: max(parallelism, 1)}
+	e.For(len(h.prefixes), run)
 	var out []Anomaly
 	for _, as := range slots {
 		out = append(out, as...)

@@ -10,10 +10,10 @@ import (
 // indices; sealHistory renumbers them canonically (sorted), lays every
 // (peer, prefix) event stream out contiguously in one shared arena, and
 // imposes the (time, order) sort once. The layout is a pure function of
-// the event multiset plus per-pair stream order, so one builder (the
-// sequential path) and N peer-sharded builders (the parallel path) seal to
-// bit-identical Histories — the property the differential harness checks
-// with reflect.DeepEqual.
+// the event multiset plus per-pair stream order, so one builder (a
+// single-worker build) and N peer-sharded builders (a multi-worker build)
+// seal to bit-identical Histories — the property the differential harness
+// checks with reflect.DeepEqual.
 
 // span locates one event stream inside a shared arena.
 type span struct {
@@ -117,8 +117,8 @@ func eventLess(a, b histEvent) bool {
 // Correctness relies on each (peer, prefix) pair — and each peer's session
 // stream — living entirely inside ONE builder (peers are hash-sharded), so
 // scattering builders in index order preserves per-pair stream order, and
-// the stable per-pair sort then sees the same insertion order the old
-// sequential store saw.
+// the stable per-pair sort then sees the stream insertion order, as a
+// single builder would.
 func sealHistory(builders []*histBuilder) *History {
 	h := &History{
 		peerIdx:   make(map[PeerID]uint32),

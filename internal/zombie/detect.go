@@ -31,10 +31,10 @@ type Detector struct {
 	// value of one of the revised methodology's ingredients (the legacy
 	// looking-glass pipeline behaved this way).
 	IgnoreSessionState bool
-	// Parallelism routes archive decoding, history building and interval
-	// evaluation through internal/pipeline with that many workers
-	// (0 = sequential). The report is identical for any value — the
-	// differential harness in internal/pipeline proves it.
+	// Parallelism is how many internal/pipeline workers decode the
+	// archives, build the history and evaluate the intervals; <= 1 runs
+	// everything inline on one worker. The report is identical for any
+	// value — the differential harnesses prove it.
 	Parallelism int
 }
 
@@ -53,21 +53,10 @@ func (d *Detector) tolerance() time.Duration {
 }
 
 // Detect parses the update archives and evaluates every interval,
-// returning all zombie routes with duplicates flagged (not removed).
+// returning all zombie routes with duplicates flagged (not removed). It is
+// DetectStreams with each archive one segment.
 func (d *Detector) Detect(updates map[string][]byte, intervals []beacon.Interval) (*Report, error) {
-	prefixes := make([]netip.Prefix, 0, len(intervals))
-	seen := make(map[netip.Prefix]bool)
-	for _, iv := range intervals {
-		if !seen[iv.Prefix] {
-			seen[iv.Prefix] = true
-			prefixes = append(prefixes, iv.Prefix)
-		}
-	}
-	h, err := BuildHistoryParallel(updates, NewTrackSet(prefixes), d.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return d.DetectFromHistory(h, intervals), nil
+	return d.DetectStreams(oneSegment(updates), intervals)
 }
 
 // DetectStreams is Detect over segmented update streams (each collector's
@@ -100,8 +89,8 @@ type intervalResult struct {
 // peerDecision applies the per-(interval, peer) detection decision given
 // the state at the check instant (st) and — read only when RecordPaths —
 // the state at the withdrawal instant (pre). It is THE decision: both the
-// row-sweep evaluator and the columnar kernel call it, so the semantics
-// cannot drift between them.
+// columnar kernel and the row-sweep oracle of the tests call it, so the
+// semantics cannot drift between them.
 func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	routes *[]Route, pathObs *[]PathObservation) {
 	var normalLen int
@@ -147,41 +136,13 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	}
 }
 
-// evalInterval evaluates one interval against the history by querying
-// every peer's state at the check instant — the row-sweep evaluator, kept
-// as the reference the columnar kernel is differentially tested against.
-func (d *Detector) evalInterval(h *History, iv beacon.Interval) intervalResult {
-	var res intervalResult
-	if h.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
-		res.visible = true
-	}
-	checkAt := iv.WithdrawAt.Add(d.threshold())
-	stateAt := h.StateAt
-	if d.IgnoreSessionState {
-		stateAt = h.stateAtIgnoringSessions
-	}
-	for _, peer := range h.Peers() {
-		st := stateAt(peer, iv.Prefix, checkAt)
-		var pre State
-		if d.RecordPaths {
-			pre = stateAt(peer, iv.Prefix, iv.WithdrawAt)
-		}
-		d.peerDecision(peer, iv, st, pre, &res.routes, &res.pathObs)
-	}
-	return res
-}
-
-// DetectFromHistory runs detection over an already-built history. The
-// columnar store goes through the batched kernel (detectColumnar), which
-// sweeps the event arena once in span order; the reference store falls
-// back to the row-sweep evaluator. With Parallelism > 1 the work is
-// spread over pipeline workers and merged deterministically, so the
-// report is identical for any store, kernel, and worker count — the
-// differential harness in internal/pipeline proves it.
+// DetectFromHistory runs detection over an already-built history through
+// the batched columnar kernel (detectColumnar), which sweeps the event
+// arena once in span order. With Parallelism > 1 the work is spread over
+// pipeline workers and merged deterministically, so the report is
+// identical for any worker count — and to the row-sweep oracle of the
+// tests.
 func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *Report {
-	if h.ref != nil {
-		return d.DetectFromHistoryRows(h, intervals)
-	}
 	sp := obs.StartSpan("zombie.detect")
 	sp.SetArg("intervals", len(intervals))
 	sp.SetArg("threshold", d.threshold().String())
@@ -191,43 +152,17 @@ func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *R
 	results := d.detectColumnar(h, intervals, sp)
 	pipeline.Default.AddIntervals(len(intervals))
 	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(h, intervals, results)
-}
-
-// DetectFromHistoryRows runs detection with the row-sweep evaluator
-// (per-interval, per-peer StateAt walks) regardless of the history store.
-// It is the reference implementation the columnar kernel is proven
-// bit-identical to; production callers use DetectFromHistory.
-func (d *Detector) DetectFromHistoryRows(h *History, intervals []beacon.Interval) *Report {
-	sp := obs.StartSpan("zombie.detect")
-	sp.SetArg("intervals", len(intervals))
-	sp.SetArg("threshold", d.threshold().String())
-	sp.SetArg("kernel", "rows")
-	defer sp.End()
-	start := time.Now()
-	results := make([]intervalResult, len(intervals))
-	if d.Parallelism > 1 {
-		e := &pipeline.Engine{Workers: d.Parallelism, Trace: sp}
-		e.For(len(intervals), func(i int) {
-			results[i] = d.evalInterval(h, intervals[i])
-		})
-	} else {
-		for i, iv := range intervals {
-			results[i] = d.evalInterval(h, iv)
-		}
-	}
-	pipeline.Default.AddIntervals(len(intervals))
-	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(h, intervals, results)
+	return d.assemble(h.Peers(), intervals, results)
 }
 
 // assemble folds per-interval results into the Report, in interval order.
-// Shared by both kernels: the report shape depends only on the results.
-func (d *Detector) assemble(h *History, intervals []beacon.Interval, results []intervalResult) *Report {
+// Shared with the row-sweep oracle: the report shape depends only on the
+// results.
+func (d *Detector) assemble(peers []PeerID, intervals []beacon.Interval, results []intervalResult) *Report {
 	rep := &Report{
 		Threshold: d.threshold(),
 		Intervals: intervals,
-		Peers:     h.Peers(),
+		Peers:     peers,
 	}
 	for i, res := range results {
 		if res.visible {
@@ -256,43 +191,21 @@ type SweepPoint struct {
 	Fraction float64
 }
 
-// Sweep evaluates thresholds over a shared history. Announce denominator
-// is the number of intervals.
-func Sweep(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
+// Sweep evaluates thresholds over a shared history, concurrently on up
+// to parallelism pipeline workers (<= 1 runs them inline). Points come
+// back indexed by threshold position, so the result is identical for any
+// worker count. Announce denominator is the number of intervals.
+func Sweep(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions, parallelism int) []SweepPoint {
+	workers := max(parallelism, 1)
 	sp := obs.StartSpan("zombie.sweep")
 	sp.SetArg("thresholds", len(thresholds))
-	defer sp.End()
-	out := make([]SweepPoint, 0, len(thresholds))
-	for _, th := range thresholds {
-		d := &Detector{Threshold: th}
-		rep := d.DetectFromHistory(h, intervals)
-		obs := rep.Filter(opts)
-		frac := 0.0
-		if len(intervals) > 0 {
-			frac = float64(len(obs)) / float64(len(intervals))
-		}
-		out = append(out, SweepPoint{Threshold: th, Outbreaks: len(obs), Fraction: frac})
-	}
-	return out
-}
-
-// SweepParallel is Sweep with the thresholds evaluated concurrently
-// (parallelism <= 1 falls back to Sweep). Points come back indexed by
-// threshold position, so the result is identical to the sequential sweep.
-func SweepParallel(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions, parallelism int) []SweepPoint {
-	if parallelism <= 1 {
-		return Sweep(h, intervals, thresholds, opts)
-	}
-	sp := obs.StartSpan("zombie.sweep")
-	sp.SetArg("thresholds", len(thresholds))
-	sp.SetArg("workers", parallelism)
+	sp.SetArg("workers", workers)
 	defer sp.End()
 	out := make([]SweepPoint, len(thresholds))
-	e := &pipeline.Engine{Workers: parallelism, Trace: sp}
+	e := &pipeline.Engine{Workers: workers, Trace: sp}
 	e.For(len(thresholds), func(i int) {
 		th := thresholds[i]
-		d := &Detector{Threshold: th, Parallelism: 1}
-		rep := d.DetectFromHistory(h, intervals)
+		rep := (&Detector{Threshold: th}).DetectFromHistory(h, intervals)
 		obs := rep.Filter(opts)
 		frac := 0.0
 		if len(intervals) > 0 {

@@ -211,7 +211,7 @@ func TestThresholdSweepMonotoneWithoutResurrection(t *testing.T) {
 	for m := 90; m <= 180; m += 10 {
 		ths = append(ths, time.Duration(m)*time.Minute)
 	}
-	pts := Sweep(h, ivs, ths, FilterOptions{})
+	pts := Sweep(h, ivs, ths, FilterOptions{}, 0)
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Outbreaks > pts[i-1].Outbreaks {
 			t.Errorf("outbreaks increased from %d to %d at %v without resurrection",

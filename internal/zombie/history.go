@@ -1,15 +1,13 @@
 package zombie
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	"net/netip"
-	"sort"
 	"time"
 
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/obs"
+	"zombiescope/internal/pipeline"
 )
 
 // eventKind classifies a history event.
@@ -40,8 +38,7 @@ type histEvent struct {
 // of one shared arena (laid out in ascending pairKey order), and session
 // events live in a parallel arena spanned per peer. The layout is built by
 // sealHistory in columnar.go and is identical no matter how many builders
-// produced the events. The ref field, when set, swaps in the original
-// map-of-maps store (refstore.go) as a differential oracle.
+// produced the events.
 type History struct {
 	peers     []PeerID
 	prefixes  []netip.Prefix
@@ -52,7 +49,6 @@ type History struct {
 	pairKeys  []uint64        // sorted pair keys: the arena's span order
 	sess      []histEvent     // session-event arena
 	sessSpans []span          // indexed by peer index; zero span = none
-	ref       *refHistory     // non-nil only for BuildHistoryReference
 }
 
 // TrackSet selects the prefixes worth reconstructing (beacon prefixes).
@@ -77,49 +73,159 @@ func NewTrackSet(prefixes []netip.Prefix) TrackSet {
 
 // BuildHistory parses MRT update archives (one per collector, keyed by
 // collector name) and reconstructs per-(peer, prefix) event histories for
-// the tracked prefixes. Records of other prefixes are ignored.
-//
-// The reader runs in borrowed-buffer mode and updates are decoded through
-// a reused scratch workspace with interned AS paths: nothing a record
-// allocates outlives the record except the events themselves.
+// the tracked prefixes. Records of other prefixes are ignored. It is
+// BuildHistoryStreams on one worker, each archive one segment.
 func BuildHistory(updates map[string][]byte, track TrackSet) (*History, error) {
+	return BuildHistoryStreams(oneSegment(updates), track, 0)
+}
+
+// oneSegment presents whole archives as single-segment streams.
+func oneSegment(updates map[string][]byte) map[string][][]byte {
+	streams := make(map[string][][]byte, len(updates))
+	for name, data := range updates {
+		streams[name] = [][]byte{data}
+	}
+	return streams
+}
+
+// BuildHistoryStreams reconstructs the History from segmented update
+// streams: each collector's value is an ordered list of MRT segments (e.g.
+// the mmapped rotated files of archive.OpenMapped) forming one logical
+// stream, consumed zero-copy. Record numbering and the resulting History
+// are identical to building from the concatenated streams.
+//
+// The archives are decoded in record-aligned chunks by the pipeline
+// engine in borrowed-buffer mode, and updates are decoded through a
+// reused scratch workspace with interned AS paths: nothing a record
+// allocates outlives the record except the events themselves. With
+// parallelism <= 1 the chunks run inline in stream order and every event
+// goes straight into one builder. With more workers, events are routed to
+// PeerID-hashed shards, each shard builds its slice lock-free in stream
+// order, and the shards seal into the same canonical History.
+func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
+	nshards := max(parallelism, 1)
+	sp := obs.StartSpan("zombie.build_history")
+	sp.SetArg("collectors", len(streams))
+	sp.SetArg("shards", nshards)
+	defer sp.End()
+	e := &pipeline.Engine{Workers: nshards, Trace: sp, Borrow: true}
+	m := pipeline.Default
+	var builders []*histBuilder
+	var err error
+	if nshards == 1 {
+		builders, err = foldOneBuilder(e, streams, track, m)
+	} else {
+		builders, err = foldShards(e, streams, track, nshards, sp, m)
+	}
+	if err != nil {
+		return nil, wrapFileError(err)
+	}
+
+	// Merge: sealHistory renumbers canonically and lays out the arenas,
+	// identically for one builder or many.
+	mergeStart := time.Now()
+	mergeSp := sp.Start("zombie.merge")
+	h := sealHistory(builders)
+	mergeSp.End()
+	m.AddMerged(len(builders))
+	m.ObserveMerge(time.Since(mergeStart))
+	m.SyncHotPath()
+	return h, nil
+}
+
+// foldOneBuilder is the single-worker fold. A one-worker engine runs the
+// chunks inline in stream order, so every chunk shares the one builder
+// and the one decode scratch.
+func foldOneBuilder(e *pipeline.Engine, streams map[string][][]byte, track TrackSet, m *pipeline.Metrics) ([]*histBuilder, error) {
 	b := newHistBuilder()
 	var scratch bgp.Scratch
-	names := make([]string, 0, len(updates))
-	for name := range updates {
-		names = append(names, name)
+	_, _, err := pipeline.FoldStreams(e, streams,
+		func(pipeline.FileChunk) *histBuilder { return b },
+		func(_ *histBuilder, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
+			return recordEvents(fc.Name, fc.FileBase+idx+1, rec, track, &scratch, b.add, b.addSession)
+		})
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
-	order := 0
-	for _, name := range names {
-		rd := mrt.NewReader(bytes.NewReader(updates[name]))
-		rd.SetBorrow(true)
-		for {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
-			}
-			order++
-			if err := recordEvents(name, order, rec, track, &scratch, b.add, b.addSession); err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
+	m.AddSharded(len(b.events) + len(b.sess))
+	return []*histBuilder{b}, nil
+}
+
+// peerEvent is one extracted history event tagged with its destination.
+type peerEvent struct {
+	peer    PeerID
+	prefix  netip.Prefix
+	session bool
+	ev      histEvent
+}
+
+// eventBuckets is a per-chunk accumulator: extracted events pre-routed to
+// their peer shard, in stream order within the chunk, plus the decode
+// scratch workspace reused across the chunk's records.
+type eventBuckets struct {
+	scratch bgp.Scratch
+	shards  [][]peerEvent
+}
+
+// foldShards is the multi-worker fold: chunks decode concurrently into
+// per-chunk buckets, then each shard replays its events walking files and
+// chunks in stream order, so every (peer, prefix) stream lands in its
+// builder in stream order. Lock-free: a PeerID maps to exactly one shard,
+// so a pair never spans builders.
+func foldShards(e *pipeline.Engine, streams map[string][][]byte, track TrackSet, nshards int,
+	sp *obs.Span, m *pipeline.Metrics) ([]*histBuilder, error) {
+	names, accs, err := pipeline.FoldStreams(e, streams,
+		func(pipeline.FileChunk) *eventBuckets {
+			return &eventBuckets{shards: make([][]peerEvent, nshards)}
+		},
+		func(acc *eventBuckets, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
+			// order only has to be monotone in stream position per file
+			// (events of one PeerID never span files).
+			return recordEvents(fc.Name, fc.FileBase+idx+1, rec, track, &acc.scratch,
+				func(peer PeerID, p netip.Prefix, ev histEvent) {
+					s := shardOfPeer(peer, nshards)
+					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, prefix: p, ev: ev})
+				},
+				func(peer PeerID, ev histEvent) {
+					s := shardOfPeer(peer, nshards)
+					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, session: true, ev: ev})
+				})
+		})
+	if err != nil {
+		return nil, err
+	}
+	buildStart := time.Now()
+	buildSp := sp.Start("zombie.shard_build")
+	builders := make([]*histBuilder, nshards)
+	e.For(nshards, func(s int) {
+		b := newHistBuilder()
+		n := 0
+		for i := range names {
+			for _, acc := range accs[i] {
+				for _, pe := range acc.shards[s] {
+					if pe.session {
+						b.addSession(pe.peer, pe.ev)
+					} else {
+						b.add(pe.peer, pe.prefix, pe.ev)
+					}
+					n++
+				}
 			}
 		}
-		rd.Release()
-	}
-	return sealHistory([]*histBuilder{b}), nil
+		builders[s] = b
+		m.AddSharded(n)
+	})
+	buildSp.End()
+	m.ObserveBuild(time.Since(buildStart))
+	return builders, nil
 }
 
 // recordEvents converts one update-file record into its history events.
-// It is shared by the sequential builder, the pipeline builder, and the
-// reference builder so the paths cannot drift: only the scheduling (and
-// the decode mode) differs, never the per-record semantics. Within one
-// record, withdrawals are emitted before announcements — the tie the
-// stable event sort preserves.
+// It is shared by the builder and by the reference builder of the tests,
+// so the paths cannot drift: only the scheduling (and the decode mode)
+// differs, never the per-record semantics. Within one record,
+// withdrawals are emitted before announcements — the tie the stable event
+// sort preserves.
 //
 // With scratch non-nil the BGP message is decoded zero-copy into the
 // scratch workspace with interned AS paths and aggregators; the update is
@@ -207,9 +313,6 @@ func cloneCommunities(cs []bgp.Community) []bgp.Community {
 
 // pairEvents returns the time-ordered event stream of (peer, p).
 func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
-	if h.ref != nil {
-		return h.ref.events[peer][p]
-	}
 	pi, ok := h.peerIdx[peer]
 	if !ok {
 		return nil
@@ -227,9 +330,6 @@ func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
 
 // sessionEvents returns the time-ordered session stream of peer.
 func (h *History) sessionEvents(peer PeerID) []histEvent {
-	if h.ref != nil {
-		return h.ref.session[peer]
-	}
 	pi, ok := h.peerIdx[peer]
 	if !ok {
 		return nil
@@ -240,9 +340,6 @@ func (h *History) sessionEvents(peer PeerID) []histEvent {
 
 // Peers returns every peer seen in the archives, sorted.
 func (h *History) Peers() []PeerID {
-	if h.ref != nil {
-		return h.ref.peers
-	}
 	return h.peers
 }
 
@@ -313,11 +410,11 @@ func stateAtMerged(evs, sess []histEvent, t time.Time) State {
 	return st
 }
 
-// stateAtIgnoringSessions reconstructs state without honoring session
-// downs, as the legacy pipeline did.
-func (h *History) stateAtIgnoringSessions(peer PeerID, p netip.Prefix, t time.Time) State {
+// stateAtIgnoringSessions reconstructs state from a pair stream alone,
+// without honoring session downs, as the legacy pipeline did.
+func stateAtIgnoringSessions(evs []histEvent, t time.Time) State {
 	var st State
-	for _, ev := range h.pairEvents(peer, p) {
+	for _, ev := range evs {
 		if !ev.at.Before(t) {
 			break
 		}
@@ -337,9 +434,6 @@ func (h *History) stateAtIgnoringSessions(peer PeerID, p netip.Prefix, t time.Ti
 
 // SeenAnnounced reports whether any peer announced p within [from, to).
 func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
-	if h.ref != nil {
-		return h.ref.seenAnnounced(p, from, to)
-	}
 	xi, ok := h.prefixIdx[p]
 	if !ok {
 		return false

@@ -68,7 +68,7 @@ func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report
 			if !d.checkSucceeds(peer, iv) {
 				continue // looking glass unreachable for this check
 			}
-			st := h.stateAtIgnoringSessions(peer, iv.Prefix, effective)
+			st := stateAtIgnoringSessions(h.pairEvents(peer, iv.Prefix), effective)
 			if !st.Present {
 				continue
 			}

@@ -1,9 +1,8 @@
 package zombie
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"time"
@@ -11,6 +10,8 @@ import (
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/obs"
+	"zombiescope/internal/pipeline"
 )
 
 // Episode is a contiguous run of RIB-dump observations of a zombie prefix
@@ -90,9 +91,9 @@ type LifespanConfig struct {
 	// is a resurrection, like the paper's outbreaks that became visible
 	// a month after the last beacon withdrawal. Default 24h.
 	ResurrectionGrace time.Duration
-	// Parallelism routes dump parsing and series building through
-	// internal/pipeline with that many workers (0 = sequential). The
-	// output is identical either way.
+	// Parallelism is how many pipeline workers (and prefix shards) parse
+	// the dumps and build the series; <= 1 means one shard on one worker,
+	// inline. The output is identical for any value.
 	Parallelism int
 }
 
@@ -150,73 +151,160 @@ func comparePeers(a, b PeerID) int {
 // TrackLifespans parses RIB dump archives (keyed by collector name) and
 // builds per-prefix lifespans for the tracked beacon prefixes. intervals
 // provide the withdrawal anchors and rule out reappearances explained by
-// real announcements. With cfg.Parallelism > 0 the dump parsing and series
-// building run on the pipeline engine; the report is identical either way.
+// real announcements.
+//
+// The dumps are decoded in record-aligned chunks by the pipeline engine.
+// Chunked decode breaks the "RIB entries follow their PeerIndexTable in
+// the same file" invariant, so one pass in stream order resolves each
+// tracked RIB's table (and finds the first error a sequential scan would
+// stop at); then cfg.Parallelism prefix-hashed shards (one when <= 1)
+// build their series lock-free. The report is identical for any value.
 func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
-	if cfg.Parallelism > 0 {
-		return trackLifespansParallel(dumps, intervals, cfg)
-	}
 	track := make(TrackSet)
 	for _, iv := range intervals {
 		track[iv.Prefix] = true
 	}
-	series := make(map[peerPrefix][]ribObs)
-	names := make([]string, 0, len(dumps))
-	for n := range dumps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rd := mrt.NewReader(bytes.NewReader(dumps[name]))
-		// Borrow is safe: only TABLE_DUMP_V2 records are retained, and the
-		// decoder always allocates those fresh.
-		rd.SetBorrow(true)
-		var table *mrt.PeerIndexTable
-		for {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: dumps %s: %w", name, err)
-			}
+	nshards := max(cfg.Parallelism, 1)
+	sp := obs.StartSpan("zombie.lifespans")
+	sp.SetArg("dumps", len(dumps))
+	sp.SetArg("shards", nshards)
+	defer sp.End()
+	// Borrow is safe here: the fold retains only TABLE_DUMP_V2 records,
+	// which the decoder always allocates fresh.
+	e := &pipeline.Engine{Workers: nshards, Trace: sp, Borrow: true}
+	names, accs, err := pipeline.FoldRecords(e, dumps,
+		func(fc pipeline.FileChunk) *ribChunk { return &ribChunk{base: fc.Base} },
+		func(acc *ribChunk, _ pipeline.FileChunk, _ int, rec mrt.Record) error {
 			switch r := rec.(type) {
 			case *mrt.PeerIndexTable:
-				table = r
+				acc.last = r
 			case *mrt.RIB:
-				if !track[r.Prefix] {
-					continue
+				if track[r.Prefix] {
+					acc.items = append(acc.items, ribItem{rib: r, table: acc.last})
 				}
-				if table == nil {
-					rd.Release()
-					return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
-				}
-				for _, e := range r.Entries {
-					if int(e.PeerIndex) >= len(table.Peers) {
-						rd.Release()
-						return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
+			}
+			return nil
+		})
+	if err := resolveTables(names, accs, err); err != nil {
+		return nil, err
+	}
+
+	m := pipeline.Default
+	buildStart := time.Now()
+	buildSp := sp.Start("zombie.shard_build")
+	reps := make([]*LifespanReport, nshards)
+	e.For(nshards, func(s int) {
+		series := make(map[peerPrefix][]ribObs)
+		n := 0
+		for i, name := range names {
+			for _, acc := range accs[i] {
+				for _, it := range acc.items {
+					if nshards > 1 && shardOfPrefix(it.rib.Prefix, nshards) != s {
+						continue
 					}
-					pe := table.Peers[e.PeerIndex]
-					peer := PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr}
-					k := peerPrefix{peer: peer, prefix: r.Prefix}
-					series[k] = append(series[k], ribObs{at: r.Timestamp, path: e.Attrs.ASPath})
+					for _, entry := range it.rib.Entries {
+						pe := it.table.Peers[entry.PeerIndex]
+						k := peerPrefix{
+							peer:   PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr},
+							prefix: it.rib.Prefix,
+						}
+						series[k] = append(series[k], ribObs{at: it.rib.Timestamp, path: entry.Attrs.ASPath})
+						n++
+					}
 				}
 			}
 		}
-		rd.Release()
-	}
-	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-	for k, obs := range series {
-		cfg.foldSeries(rep, k, obs, intervals)
+		rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
+		for k, obs := range series {
+			cfg.foldSeries(rep, k, obs, intervals)
+		}
+		reps[s] = rep
+		m.AddSharded(n)
+	})
+	buildSp.End()
+	m.ObserveBuild(time.Since(buildStart))
+
+	// Merge: prefixes are disjoint across shards.
+	mergeStart := time.Now()
+	mergeSp := sp.Start("zombie.merge")
+	rep := reps[0]
+	for _, r := range reps[1:] {
+		for p, pl := range r.Prefixes {
+			rep.Prefixes[p] = pl
+		}
 	}
 	finishLifespans(rep, intervals)
+	mergeSp.End()
+	m.AddMerged(nshards)
+	m.ObserveMerge(time.Since(mergeStart))
 	return rep, nil
 }
 
+// ribChunk is a per-chunk accumulator for RIB dump streams: the tracked
+// RIB records of the chunk, each with the last PeerIndexTable before it
+// inside the chunk (nil = the table is in an earlier chunk), and the
+// chunk's own last table, which later chunks inherit.
+type ribChunk struct {
+	base  int // records preceding the chunk within its file
+	last  *mrt.PeerIndexTable
+	items []ribItem
+}
+
+type ribItem struct {
+	rib   *mrt.RIB
+	table *mrt.PeerIndexTable // effective table once resolveTables ran
+}
+
+// resolveTables walks the folded dumps in stream order, carrying the
+// effective PeerIndexTable across chunk boundaries into every tracked
+// RIB. It returns the error a sequential scan would have stopped at
+// first: a RIB with no preceding table or an out-of-range peer index, or
+// the fold's decode error when that comes earlier in the stream. A chunk
+// stops decoding at its error, so every item of a chunk starting at or
+// before the error record precedes the error.
+func resolveTables(names []string, accs [][]*ribChunk, foldErr error) error {
+	var fe *pipeline.FileError
+	if foldErr != nil && !errors.As(foldErr, &fe) {
+		return foldErr
+	}
+	for i, name := range names {
+		stop := -1 // record index of this file's decode error, if any
+		if fe != nil && fe.Name == name {
+			stop = fe.Record
+		}
+		var carry *mrt.PeerIndexTable
+		for _, acc := range accs[i] {
+			if stop >= 0 && acc.base > stop {
+				break
+			}
+			for j := range acc.items {
+				it := &acc.items[j]
+				if it.table == nil {
+					it.table = carry
+				}
+				if it.table == nil {
+					return fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
+				}
+				for _, entry := range it.rib.Entries {
+					if int(entry.PeerIndex) >= len(it.table.Peers) {
+						return fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
+					}
+				}
+			}
+			if acc.last != nil {
+				carry = acc.last
+			}
+		}
+		if stop >= 0 {
+			return fmt.Errorf("zombie: dumps %s: %w", name, fe.Err)
+		}
+	}
+	return nil
+}
+
 // foldSeries turns one (peer, prefix) observation series into episodes and
-// resurrections on rep. Shared by the sequential and pipeline trackers so
-// the two paths cannot drift.
+// resurrections on rep. Shared by every shard of TrackLifespans and by the
+// sequential oracle of the tests, so the two paths cannot drift.
 func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ribObs, intervals []beacon.Interval) {
 	gap := cfg.gap()
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
@@ -275,8 +363,8 @@ func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ri
 // the latest interval withdrawal at or before the prefix's first
 // observation. The sort keys are total orders (peer identity breaks every
 // tie), so the result is independent of series map iteration — the
-// property that lets the sharded tracker merge and finish exactly like the
-// sequential one.
+// property that lets the tracker merge and finish identically for any
+// shard count.
 func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
 	for p, pl := range rep.Prefixes {
 		sort.Slice(pl.Episodes, func(i, j int) bool {

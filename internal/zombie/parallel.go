@@ -5,22 +5,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
-	"time"
 
-	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
-	"zombiescope/internal/mrt"
-	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
 )
 
-// This file is the parallel counterpart of history.go and lifespan.go:
-// archives are decoded concurrently in record-aligned chunks by the
-// pipeline engine, extracted events are routed to PeerID-hashed (or
-// prefix-hashed) shards, each shard builds its slice of the state lock-free
-// in stream order, and the shards merge into the same canonical structures
-// the sequential builders produce. The differential harness in
-// internal/pipeline asserts the equivalence on randomized scenarios.
+// This file holds the shard routing and error shaping shared by the
+// history builder (history.go) and the lifespan tracker (lifespan.go):
+// archives are decoded in record-aligned chunks by the pipeline engine,
+// extracted events are routed to PeerID-hashed (or prefix-hashed) shards,
+// each shard builds its slice of the state lock-free in stream order, and
+// the shards merge into the same canonical structures for any shard count.
 
 // shardOfPeer routes a peer to its shard. FNV-1a keeps the assignment
 // stable across processes (no per-run hash seed), which the differential
@@ -48,285 +42,12 @@ func shardOfPrefix(p netip.Prefix, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// wrapFileError rewraps a pipeline position error into the sequential
-// builder's error shape.
+// wrapFileError rewraps a pipeline position error into the history
+// builder's error shape, which names the collector.
 func wrapFileError(err error) error {
 	var fe *pipeline.FileError
 	if errors.As(err, &fe) {
 		return fmt.Errorf("zombie: collector %s: %w", fe.Name, fe.Err)
-	}
-	return err
-}
-
-// peerEvent is one extracted history event tagged with its destination.
-type peerEvent struct {
-	peer    PeerID
-	prefix  netip.Prefix
-	session bool
-	ev      histEvent
-}
-
-// eventBuckets is a per-chunk accumulator: extracted events pre-routed to
-// their peer shard, in stream order within the chunk, plus the decode
-// scratch workspace reused across the chunk's records.
-type eventBuckets struct {
-	scratch bgp.Scratch
-	shards  [][]peerEvent
-}
-
-// BuildHistoryParallel is BuildHistory over the pipeline engine with the
-// given worker count (<= 0 falls back to the sequential builder). The
-// result is canonical: identical to the sequential History for any
-// parallelism, because every (peer, prefix) sees its events in stream
-// order and the final ordering pass is shared.
-func BuildHistoryParallel(updates map[string][]byte, track TrackSet, parallelism int) (*History, error) {
-	if parallelism <= 0 {
-		return BuildHistory(updates, track)
-	}
-	streams := make(map[string][][]byte, len(updates))
-	for name, data := range updates {
-		streams[name] = [][]byte{data}
-	}
-	return BuildHistoryStreams(streams, track, parallelism)
-}
-
-// BuildHistoryStreams is BuildHistoryParallel over segmented streams:
-// each collector's value is an ordered list of MRT segments (e.g. the
-// mmapped rotated files of archive.OpenMapped) forming one logical
-// stream. Record numbering and the resulting History are identical to
-// building from the concatenated streams — the segments are never
-// copied together. parallelism <= 0 runs inline on one worker, which
-// produces the same canonical History.
-func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	sp := obs.StartSpan("zombie.build_history")
-	sp.SetArg("collectors", len(streams))
-	sp.SetArg("shards", parallelism)
-	defer sp.End()
-	e := &pipeline.Engine{Workers: parallelism, Trace: sp, Borrow: true}
-	nshards := parallelism
-	names, accs, err := pipeline.FoldStreams(e, streams,
-		func(pipeline.FileChunk) *eventBuckets {
-			return &eventBuckets{shards: make([][]peerEvent, nshards)}
-		},
-		func(acc *eventBuckets, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
-			// order only has to be monotone in stream position per file
-			// (events of one PeerID never span files); FileBase+idx also
-			// matches the global sequential numbering up to skipped
-			// record types.
-			return recordEvents(fc.Name, fc.FileBase+idx+1, rec, track, &acc.scratch,
-				func(peer PeerID, p netip.Prefix, ev histEvent) {
-					s := shardOfPeer(peer, nshards)
-					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, prefix: p, ev: ev})
-				},
-				func(peer PeerID, ev histEvent) {
-					s := shardOfPeer(peer, nshards)
-					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, session: true, ev: ev})
-				})
-		})
-	if err != nil {
-		return nil, wrapFileError(err)
-	}
-
-	// Shard build: each shard replays its events walking files and chunks
-	// in stream order, so every (peer, prefix) stream lands in its builder
-	// in the same order the sequential builder saw. Lock-free: a PeerID
-	// maps to exactly one shard, so a pair never spans builders.
-	m := e.Metrics
-	if m == nil {
-		m = pipeline.Default
-	}
-	buildStart := time.Now()
-	buildSp := sp.Start("zombie.shard_build")
-	builders := make([]*histBuilder, nshards)
-	e.For(nshards, func(s int) {
-		b := newHistBuilder()
-		n := 0
-		for i := range names {
-			for _, acc := range accs[i] {
-				for _, pe := range acc.shards[s] {
-					if pe.session {
-						b.addSession(pe.peer, pe.ev)
-					} else {
-						b.add(pe.peer, pe.prefix, pe.ev)
-					}
-					n++
-				}
-			}
-		}
-		builders[s] = b
-		m.AddSharded(n)
-	})
-	buildSp.End()
-	m.ObserveBuild(time.Since(buildStart))
-
-	// Merge: sealHistory renumbers canonically and lays out the arenas,
-	// identically to the single-builder sequential path.
-	mergeStart := time.Now()
-	mergeSp := sp.Start("zombie.merge")
-	h := sealHistory(builders)
-	mergeSp.End()
-	m.AddMerged(nshards)
-	m.ObserveMerge(time.Since(mergeStart))
-	m.SyncHotPath()
-	return h, nil
-}
-
-// ribChunk is a per-chunk accumulator for RIB dump streams: the peer index
-// tables of the chunk plus the tracked RIB records, each remembering how
-// many tables preceded it inside the chunk (0 = the table is in an earlier
-// chunk).
-type ribChunk struct {
-	tables []*mrt.PeerIndexTable
-	items  []ribItem
-}
-
-type ribItem struct {
-	tablesBefore int
-	rib          *mrt.RIB
-}
-
-// trackLifespansParallel is the pipeline counterpart of TrackLifespans.
-// Chunked decode breaks the "RIB entries follow their PeerIndexTable in the
-// same file" invariant, so every shard walks the chunk list of each file in
-// order, carrying the effective table across chunk boundaries, and applies
-// only its own prefixes — cheap, lock-free, and order-identical.
-func trackLifespansParallel(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
-	track := make(TrackSet)
-	for _, iv := range intervals {
-		track[iv.Prefix] = true
-	}
-	sp := obs.StartSpan("zombie.lifespans")
-	sp.SetArg("dumps", len(dumps))
-	sp.SetArg("shards", cfg.Parallelism)
-	defer sp.End()
-	// Borrow is safe here: the fold retains only TABLE_DUMP_V2 records,
-	// which the decoder always allocates fresh.
-	e := &pipeline.Engine{Workers: cfg.Parallelism, Trace: sp, Borrow: true}
-	nshards := cfg.Parallelism
-	names, accs, err := pipeline.FoldRecords(e, dumps,
-		func(pipeline.FileChunk) *ribChunk { return &ribChunk{} },
-		func(acc *ribChunk, _ pipeline.FileChunk, _ int, rec mrt.Record) error {
-			switch r := rec.(type) {
-			case *mrt.PeerIndexTable:
-				acc.tables = append(acc.tables, r)
-			case *mrt.RIB:
-				if track[r.Prefix] {
-					acc.items = append(acc.items, ribItem{tablesBefore: len(acc.tables), rib: r})
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, wrapDumpError(err)
-	}
-
-	m := e.Metrics
-	if m == nil {
-		m = pipeline.Default
-	}
-	buildStart := time.Now()
-	buildSp := sp.Start("zombie.shard_build")
-	type shardResult struct {
-		rep    *LifespanReport
-		err    error
-		errPos [3]int // (file, chunk, item) of the first error, for ranking
-	}
-	results := make([]shardResult, nshards)
-	e.For(nshards, func(s int) {
-		series := make(map[peerPrefix][]ribObs)
-		n := 0
-		fail := func(pos [3]int, err error) {
-			if results[s].err == nil {
-				results[s].err, results[s].errPos = err, pos
-			}
-		}
-		for i := range names {
-			var carry *mrt.PeerIndexTable
-			for ci, acc := range accs[i] {
-				for ii, it := range acc.items {
-					table := carry
-					if it.tablesBefore > 0 {
-						table = acc.tables[it.tablesBefore-1]
-					}
-					if shardOfPrefix(it.rib.Prefix, nshards) != s {
-						continue
-					}
-					if table == nil {
-						fail([3]int{i, ci, ii}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrNoPeerIndex))
-						continue
-					}
-					for _, entry := range it.rib.Entries {
-						if int(entry.PeerIndex) >= len(table.Peers) {
-							fail([3]int{i, ci, ii}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrBadPeerIndex))
-							continue
-						}
-						pe := table.Peers[entry.PeerIndex]
-						k := peerPrefix{
-							peer:   PeerID{Collector: names[i], AS: pe.AS, Addr: pe.Addr},
-							prefix: it.rib.Prefix,
-						}
-						series[k] = append(series[k], ribObs{at: it.rib.Timestamp, path: entry.Attrs.ASPath})
-						n++
-					}
-				}
-				if len(acc.tables) > 0 {
-					carry = acc.tables[len(acc.tables)-1]
-				}
-			}
-		}
-		if results[s].err != nil {
-			return
-		}
-		rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-		for k, obs := range series {
-			cfg.foldSeries(rep, k, obs, intervals)
-		}
-		results[s].rep = rep
-		m.AddSharded(n)
-	})
-	buildSp.End()
-	m.ObserveBuild(time.Since(buildStart))
-
-	// The first error in stream order wins, as in the sequential scan.
-	var firstErr error
-	var firstPos [3]int
-	for _, r := range results {
-		if r.err != nil && (firstErr == nil ||
-			r.errPos[0] < firstPos[0] ||
-			(r.errPos[0] == firstPos[0] && r.errPos[1] < firstPos[1]) ||
-			(r.errPos[0] == firstPos[0] && r.errPos[1] == firstPos[1] && r.errPos[2] < firstPos[2])) {
-			firstErr, firstPos = r.err, r.errPos
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// Merge: prefixes are disjoint across shards.
-	mergeStart := time.Now()
-	mergeSp := sp.Start("zombie.merge")
-	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-	for _, r := range results {
-		for p, pl := range r.rep.Prefixes {
-			rep.Prefixes[p] = pl
-		}
-	}
-	finishLifespans(rep, intervals)
-	mergeSp.End()
-	m.AddMerged(nshards)
-	m.ObserveMerge(time.Since(mergeStart))
-	return rep, nil
-}
-
-// wrapDumpError rewraps a pipeline position error into TrackLifespans'
-// error shape.
-func wrapDumpError(err error) error {
-	var fe *pipeline.FileError
-	if errors.As(err, &fe) {
-		return fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
 	}
 	return err
 }

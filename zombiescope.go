@@ -93,6 +93,12 @@ type (
 var (
 	// BuildHistory reconstructs per-(peer, prefix) state from archives.
 	BuildHistory = zombie.BuildHistory
+	// BuildHistoryStreams is BuildHistory over segmented streams (e.g. a
+	// collector's rotated files) on the internal/pipeline worker engine;
+	// the History is identical for any parallelism (set
+	// Detector.Parallelism or LifespanConfig.Parallelism to route whole
+	// detections through the same engine).
+	BuildHistoryStreams = zombie.BuildHistoryStreams
 	// NewTrackSet selects the prefixes to reconstruct.
 	NewTrackSet = zombie.NewTrackSet
 	// TrackLifespans follows zombies through RIB dumps.
@@ -103,16 +109,10 @@ var (
 	ScorePeers = zombie.ScorePeers
 	// FlagNoisyPeers finds outlier peers to exclude.
 	FlagNoisyPeers = zombie.FlagNoisyPeers
-	// Sweep evaluates several detection thresholds over one history.
+	// Sweep evaluates several detection thresholds over one history, on
+	// up to the given number of workers; the result is identical for any
+	// worker count.
 	Sweep = zombie.Sweep
-	// SweepParallel is Sweep with concurrent threshold evaluation; the
-	// result is identical.
-	SweepParallel = zombie.SweepParallel
-	// BuildHistoryParallel is BuildHistory over the internal/pipeline
-	// worker engine; the History is identical for any parallelism (set
-	// Detector.Parallelism or LifespanConfig.Parallelism to route whole
-	// detections through the pipeline).
-	BuildHistoryParallel = zombie.BuildHistoryParallel
 )
 
 // DefaultThreshold is the conservative 90-minute stuck-route threshold.
