@@ -2,12 +2,14 @@ package livefeed
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
 	"zombiescope/internal/bgp"
+	"zombiescope/internal/experiments"
 	"zombiescope/internal/zombie"
 )
 
@@ -95,5 +97,68 @@ func TestAnomalyEventOrigins(t *testing.T) {
 	// Prefix-level findings carry no peer identity.
 	if back.PeerAS != 0 || back.Peer.IsValid() {
 		t.Fatalf("prefix-level finding grew a peer: %+v", back)
+	}
+}
+
+// TestDetectAnomaliesPublishesOnce evaluates a growing stream three
+// times: every call returns the complete report, but no finding reaches
+// the anomaly channel twice, and every finding of the last report was
+// published by some call.
+func TestDetectAnomaliesPublishesOnce(t *testing.T) {
+	sc, err := experiments.RunAnomalyScenario("mixed", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := MergeUpdates(sc.Updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := NewBroker(Config{RingSize: 1 << 16})
+	defer broker.Close()
+	sub, _, err := broker.Subscribe(Filter{}, PolicyDropOldest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := NewPipeline(broker, sc.Intervals, 0)
+	if err := pipe.EnableAnomalies(nil, zombie.AnomalyConfig{Intervals: sc.Intervals}); err != nil {
+		t.Fatal(err)
+	}
+
+	key := func(detector, kind string, prefix netip.Prefix, collector string, as bgp.ASN, peer netip.Addr, start time.Time) string {
+		return fmt.Sprintf("%s|%s|%s|%s|%d|%s|%d", detector, kind, prefix, collector, as, peer, start.UnixNano())
+	}
+	var rep *zombie.AnomalyReport
+	reported := 0
+	prev := 0
+	for _, cut := range []int{len(stream) / 3, 2 * len(stream) / 3, len(stream)} {
+		for _, sr := range stream[prev:cut] {
+			pipe.Ingest(sr)
+		}
+		prev = cut
+		rep = pipe.DetectAnomalies(sc.Window)
+		reported += len(rep.Findings)
+	}
+	if len(rep.Findings) == 0 {
+		t.Fatal("mixed scenario produced no findings; the test would prove nothing")
+	}
+
+	published := make(map[string]int)
+	for _, ev := range drainUntil(t, sub, broker.Seq()) {
+		if ev.Channel != ChannelAnomaly {
+			continue
+		}
+		al := ev.Anomaly
+		k := key(al.Detector, al.Kind, al.Prefix, ev.Collector, al.PeerAS, al.Peer, al.Start)
+		if published[k]++; published[k] == 2 {
+			t.Errorf("finding %s published twice", k)
+		}
+	}
+	if reported == len(published) {
+		t.Fatalf("no finding was reported by more than one call (%d reported); the test would prove nothing", reported)
+	}
+	for _, a := range rep.Findings {
+		if k := key(a.Detector, a.Kind, a.Prefix, a.Peer.Collector, a.Peer.AS, a.Peer.Addr, a.Start); published[k] == 0 {
+			t.Errorf("finding %s of the last report was never published", k)
+		}
 	}
 }

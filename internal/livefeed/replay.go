@@ -2,6 +2,7 @@ package livefeed
 
 import (
 	"context"
+	"net/netip"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -64,10 +65,11 @@ type Pipeline struct {
 
 	// Anomaly mode (EnableAnomalies): every streamable record also
 	// accumulates into an AnomalyStream, and DetectAnomalies seals it and
-	// runs the framework, publishing findings on the anomaly channel.
-	anomalyStream *zombie.AnomalyStream
-	anomalyDets   []zombie.AnomalyDetector
-	anomalyPar    int
+	// runs the framework, publishing new findings on the anomaly channel.
+	anomalyStream    *zombie.AnomalyStream
+	anomalyDets      []zombie.AnomalyDetector
+	anomalyPar       int
+	anomalyPublished map[anomalyKey]bool
 
 	// recovering mutes alert publication while Recover re-observes
 	// journaled records: those detections already fired (and were
@@ -92,6 +94,16 @@ type Pipeline struct {
 type peerFam struct {
 	peer zombie.PeerID
 	v6   bool
+}
+
+// anomalyKey identifies one finding across DetectAnomalies calls: a
+// finding seen again over a longer stream may have grown (later End,
+// higher Count), but it is the same finding.
+type anomalyKey struct {
+	detector, kind string
+	prefix         netip.Prefix
+	peer           zombie.PeerID
+	start          int64 // Start in Unix nanoseconds
 }
 
 // NewPipeline builds a pipeline detecting over the given beacon
@@ -138,13 +150,16 @@ func (p *Pipeline) EnableAnomalies(names []string, cfg zombie.AnomalyConfig) err
 	p.anomalyStream = zombie.NewAnomalyStream()
 	p.anomalyDets = dets
 	p.anomalyPar = cfg.Parallelism
+	p.anomalyPublished = make(map[anomalyKey]bool)
 	return nil
 }
 
 // DetectAnomalies seals the accumulated stream history, runs the enabled
-// detectors over win, and publishes every finding on the anomaly
-// channel. The accumulator keeps observing: later calls evaluate the
-// longer stream. It returns nil when EnableAnomalies was not called.
+// detectors over win, and returns the complete report. The accumulator
+// keeps observing: later calls evaluate the longer stream. Each finding
+// is published on the anomaly channel once, by the first call that
+// reports it, keyed by (detector, kind, prefix, peer, start). It returns
+// nil when EnableAnomalies was not called.
 func (p *Pipeline) DetectAnomalies(win zombie.Window) *zombie.AnomalyReport {
 	if p.anomalyStream == nil {
 		return nil
@@ -155,6 +170,11 @@ func (p *Pipeline) DetectAnomalies(win zombie.Window) *zombie.AnomalyReport {
 	rep := zombie.RunAnomalyDetectors(h, win, p.anomalyDets, p.anomalyPar)
 	m.anomalyEval.Observe(obs.SinceNanos(started))
 	for _, a := range rep.Findings {
+		k := anomalyKey{a.Detector, a.Kind, a.Prefix, a.Peer, a.Start.UnixNano()}
+		if p.anomalyPublished[k] {
+			continue
+		}
+		p.anomalyPublished[k] = true
 		m.anomalyFindings.With(a.Detector).Inc()
 		p.Broker.Publish(AnomalyEvent(a))
 	}
@@ -212,20 +232,28 @@ func (p *Pipeline) syncChecks() {
 func (p *Pipeline) Ingest(sr SourcedRecord) {
 	ing := obs.Nanos()
 	m := p.Broker.Metrics()
-	p.watermark = sr.Rec.RecordTime()
 	p.sd.SetIngestStamp(ing)
-	p.sd.Advance(p.watermark)
-	p.sd.Observe(sr.Collector, sr.Rec)
-	if p.anomalyStream != nil {
-		// A record the decoder rejects contributes no history events; the
-		// live path keeps going, exactly as the batch builder would fail
-		// the whole archive the stream never sees.
-		_ = p.anomalyStream.Observe(sr.Collector, sr.Rec)
-	}
+	p.observe(sr.Collector, sr.Rec)
 	m.stageDetect.Observe(obs.SinceNanos(ing))
 	p.syncChecks()
 	m.watermark.Set(float64(p.watermark.Unix()))
 	p.Broker.PublishRecordAt(sr.Collector, sr.Rec, ing)
+}
+
+// observe is the one detection step of Ingest and Recover: advance the
+// detection clock to the record's timestamp (firing any due checks),
+// then feed the record to the detector and, in anomaly mode, to the
+// anomaly accumulator.
+func (p *Pipeline) observe(collector string, rec mrt.Record) {
+	p.watermark = rec.RecordTime()
+	p.sd.Advance(p.watermark)
+	p.sd.Observe(collector, rec)
+	if p.anomalyStream != nil {
+		// A record the decoder rejects contributes no history events; the
+		// live path keeps going, exactly as the batch builder would fail
+		// the whole archive the stream never sees.
+		_ = p.anomalyStream.Observe(collector, rec)
+	}
 }
 
 // Flush advances the detection clock past the end of the experiment so
@@ -277,12 +305,7 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 		if err != nil {
 			return err
 		}
-		p.watermark = rec.RecordTime()
-		p.sd.Advance(p.watermark)
-		p.sd.Observe(se.Collector, rec)
-		if p.anomalyStream != nil {
-			_ = p.anomalyStream.Observe(se.Collector, rec)
-		}
+		p.observe(se.Collector, rec)
 		n++
 		return nil
 	})

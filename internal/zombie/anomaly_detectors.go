@@ -387,45 +387,31 @@ type originDelta struct {
 	delta  int
 }
 
-// appendOriginDeltas walks one peer's merged pair+session stream and
-// emits origin count deltas: an announcement moves the peer's vote to the
-// path's origin; withdrawals and session downs clear it.
+// appendOriginDeltas folds one peer's merged pair+session stream and
+// emits origin count deltas: the peer votes for its route's origin while
+// the route is present (and has one), so an announcement moves the vote
+// and withdrawals and session downs clear it.
 func appendOriginDeltas(deltas []originDelta, evs, sess []histEvent) []originDelta {
-	var cur bgp.ASN
-	has := false
-	walkMerged(evs, sess, func(ev *histEvent, isSess bool) {
-		if isSess {
-			if ev.kind == evSessionDown && has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-				has = false
-			}
-			return
+	c := pairCursor{evs: evs, sess: sess}
+	var vote bgp.ASN
+	voting := false
+	for ev := c.next(); ev != nil; ev = c.next() {
+		var o bgp.ASN
+		ok := false
+		if c.st.Present {
+			o, ok = c.st.Path.Origin()
 		}
-		switch ev.kind {
-		case evAnnounce:
-			o, ok := ev.path.Origin()
-			if !ok {
-				if has {
-					deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-					has = false
-				}
-				return
-			}
-			if has && o == cur {
-				return
-			}
-			if has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-			}
+		if ok == voting && o == vote {
+			continue
+		}
+		if voting {
+			deltas = append(deltas, originDelta{at: ev.at, origin: vote, delta: -1})
+		}
+		if ok {
 			deltas = append(deltas, originDelta{at: ev.at, origin: o, delta: 1})
-			cur, has = o, true
-		case evWithdraw:
-			if has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-				has = false
-			}
 		}
-	})
+		vote, voting = o, ok
+	}
 	return deltas
 }
 
@@ -435,59 +421,29 @@ type presenceDelta struct {
 	delta int
 }
 
-// appendPresenceDeltas walks one peer's merged pair+session stream and
-// emits visibility deltas, collecting announced origins into origins.
+// appendPresenceDeltas folds one peer's merged pair+session stream and
+// emits a visibility delta whenever the route's presence flips,
+// collecting announced origins into origins.
 func appendPresenceDeltas(deltas []presenceDelta, evs, sess []histEvent, origins map[bgp.ASN]bool) []presenceDelta {
+	c := pairCursor{evs: evs, sess: sess}
 	present := false
-	walkMerged(evs, sess, func(ev *histEvent, isSess bool) {
-		if isSess {
-			if ev.kind == evSessionDown && present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: -1})
-				present = false
-			}
-			return
-		}
-		switch ev.kind {
-		case evAnnounce:
+	for ev := c.next(); ev != nil; ev = c.next() {
+		if ev.kind == evAnnounce {
 			if o, ok := ev.path.Origin(); ok {
 				origins[o] = true
 			}
-			if !present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: 1})
-				present = true
-			}
-		case evWithdraw:
-			if present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: -1})
-				present = false
-			}
 		}
-	})
-	return deltas
-}
-
-// walkMerged visits a pair stream and a session stream merged in the
-// canonical (time, order) event order — the same merge StateAt performs,
-// shared so the sweep detectors cannot drift from the zombie state model.
-func walkMerged(evs, sess []histEvent, visit func(ev *histEvent, isSess bool)) {
-	i, j := 0, 0
-	for i < len(evs) || j < len(sess) {
-		takeSess := false
-		switch {
-		case i >= len(evs):
-			takeSess = true
-		case j >= len(sess):
-		default:
-			takeSess = eventLess(sess[j], evs[i])
+		if c.st.Present == present {
+			continue
 		}
-		if takeSess {
-			visit(&sess[j], true)
-			j++
-		} else {
-			visit(&evs[i], false)
-			i++
+		present = c.st.Present
+		delta := -1
+		if present {
+			delta = 1
 		}
+		deltas = append(deltas, presenceDelta{at: ev.at, delta: delta})
 	}
+	return deltas
 }
 
 // clipWindow intersects [start, end] with the evaluation window and

@@ -108,22 +108,8 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 		}
 		return
 	}
-	announcedAt := st.At
-	if st.Agg != nil {
-		if t, ok := beacon.DecodeAggregatorClock(st.Agg.Addr, st.At); ok {
-			announcedAt = t
-		}
-	}
-	dup := announcedAt.Before(iv.AnnounceAt.Add(-d.tolerance()))
-	*routes = append(*routes, Route{
-		Peer:        peer,
-		Prefix:      iv.Prefix,
-		Interval:    iv,
-		Path:        st.Path,
-		AnnouncedAt: announcedAt,
-		LastUpdate:  st.LastEvent,
-		Duplicate:   dup,
-	})
+	r := d.zombieRoute(peer, iv, st)
+	*routes = append(*routes, r)
 	if d.RecordPaths {
 		*pathObs = append(*pathObs, PathObservation{
 			Peer: peer, Prefix: iv.Prefix, Interval: iv,
@@ -131,8 +117,32 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 			ZombieLen:   st.Path.Length(),
 			Zombie:      true,
 			PathChanged: !st.Path.Equal(normalPath),
-			Duplicate:   dup,
+			Duplicate:   r.Duplicate,
 		})
+	}
+}
+
+// zombieRoute is the route decision for a route still present (st) at an
+// interval's check instant: the announcement time comes from the
+// Aggregator clock when the route carries one, and a route announced
+// before the interval (less the clock tolerance) is a Duplicate of an
+// earlier interval's outbreak. The batch kernel and StreamDetector both
+// build their routes here.
+func (d *Detector) zombieRoute(peer PeerID, iv beacon.Interval, st State) Route {
+	announcedAt := st.At
+	if st.Agg != nil {
+		if t, ok := beacon.DecodeAggregatorClock(st.Agg.Addr, st.At); ok {
+			announcedAt = t
+		}
+	}
+	return Route{
+		Peer:        peer,
+		Prefix:      iv.Prefix,
+		Interval:    iv,
+		Path:        st.Path,
+		AnnouncedAt: announcedAt,
+		LastUpdate:  st.LastEvent,
+		Duplicate:   announcedAt.Before(iv.AnnounceAt.Add(-d.tolerance())),
 	}
 }
 

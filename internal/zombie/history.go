@@ -221,9 +221,10 @@ func foldShards(e *pipeline.Engine, streams map[string][][]byte, track TrackSet,
 }
 
 // recordEvents converts one update-file record into its history events.
-// It is shared by the builder and by the reference builder of the tests,
-// so the paths cannot drift: only the scheduling (and the decode mode)
-// differs, never the per-record semantics. Within one record,
+// It is the one record-to-event extraction: the batch builders, the
+// journal and anomaly streams, StreamDetector and the reference builder
+// of the tests all go through it, so only the scheduling (and the decode
+// mode) differs, never the per-record semantics. Within one record,
 // withdrawals are emitted before announcements — the tie the stable event
 // sort preserves.
 //
@@ -231,7 +232,9 @@ func foldShards(e *pipeline.Engine, streams map[string][][]byte, track TrackSet,
 // scratch workspace with interned AS paths and aggregators; the update is
 // only valid until the next call, but everything stored into histEvents
 // (interned path/agg, prefix values) is retention-safe. With scratch nil
-// the original fully-allocating decode runs.
+// the original fully-allocating decode runs; it interns nothing, which
+// keeps the process-wide intern tables bounded under the long-running
+// streams (StreamDetector, AnomalyStream) that use it.
 func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratch *bgp.Scratch,
 	prefixEv func(peer PeerID, p netip.Prefix, ev histEvent),
 	sessionEv func(peer PeerID, ev histEvent),
@@ -264,13 +267,20 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 				}
 			}
 		}
+		// Empty lists store as nil. Only the scratch decode reuses the
+		// backing array, so only it needs the copy: an allocating
+		// decode's list is already the event's own.
+		comms := u.Attrs.Communities
+		if scratch != nil || len(comms) == 0 {
+			comms = cloneCommunities(comms)
+		}
 		annEv := histEvent{
 			at:    r.Timestamp,
 			order: order,
 			kind:  evAnnounce,
 			path:  u.Attrs.ASPath,
 			agg:   u.Attrs.Aggregator,
-			comms: cloneCommunities(u.Attrs.Communities),
+			comms: comms,
 		}
 		for _, p := range u.NLRI {
 			if track.tracks(p) {
@@ -355,81 +365,80 @@ type State struct {
 	LastEvent time.Time
 }
 
+// apply is the one state transition of the zombie model. An
+// announcement installs the route, a withdrawal removes it, and a session
+// down clears the peer's route (a dead session cannot host a zombie);
+// session ups change nothing. A withdrawal keeps At; Path/Agg/At are only
+// meaningful while Present.
+func (st *State) apply(ev *histEvent) {
+	switch ev.kind {
+	case evAnnounce:
+		*st = State{Present: true, Path: ev.path, Agg: ev.agg, At: ev.at, LastEvent: ev.at}
+	case evWithdraw:
+		st.Present, st.Path, st.Agg, st.LastEvent = false, bgp.ASPath{}, nil, ev.at
+	case evSessionDown:
+		*st = State{LastEvent: ev.at}
+	}
+}
+
+// pairCursor is the one fold of the zombie state model: it merges a
+// pair's event stream with its peer's session stream in eventLess order
+// and applies each event to the running State, resumably. A nil session
+// stream ignores session state (the legacy methodology and the
+// IgnoreSessionState ablation).
+type pairCursor struct {
+	evs, sess []histEvent
+	i, j      int
+	st        State
+}
+
+// head returns the next merged event without consuming it, and whether
+// it comes from the session stream; nil at the end.
+func (c *pairCursor) head() (*histEvent, bool) {
+	if c.j < len(c.sess) && (c.i >= len(c.evs) || eventLess(c.sess[c.j], c.evs[c.i])) {
+		return &c.sess[c.j], true
+	}
+	if c.i < len(c.evs) {
+		return &c.evs[c.i], false
+	}
+	return nil, false
+}
+
+// take consumes ev, the head from the stream isSess names, and folds it
+// into the state.
+func (c *pairCursor) take(ev *histEvent, isSess bool) {
+	if isSess {
+		c.j++
+	} else {
+		c.i++
+	}
+	c.st.apply(ev)
+}
+
+// next consumes the next merged event, folds it into the state and
+// returns it; nil at the end.
+func (c *pairCursor) next() *histEvent {
+	ev, isSess := c.head()
+	if ev != nil {
+		c.take(ev, isSess)
+	}
+	return ev
+}
+
+// advance folds every event strictly before t into the state and returns
+// it. t must not decrease across calls on one cursor.
+func (c *pairCursor) advance(t time.Time) State {
+	for ev, isSess := c.head(); ev != nil && ev.at.Before(t); ev, isSess = c.head() {
+		c.take(ev, isSess)
+	}
+	return c.st
+}
+
 // StateAt reconstructs the state of (peer, prefix) at time t, honoring
-// session downs (a down clears the route: a dead session cannot host a
-// zombie) and ignoring events at or after t.
+// session downs and ignoring events at or after t.
 func (h *History) StateAt(peer PeerID, p netip.Prefix, t time.Time) State {
-	return stateAtMerged(h.pairEvents(peer, p), h.sessionEvents(peer), t)
-}
-
-// stateAtMerged walks a pair stream and a session stream merged in event
-// order, stopping at t.
-func stateAtMerged(evs, sess []histEvent, t time.Time) State {
-	var st State
-	i, j := 0, 0
-	for i < len(evs) || j < len(sess) {
-		var ev histEvent
-		takeSess := false
-		switch {
-		case i >= len(evs):
-			ev, takeSess = sess[j], true
-		case j >= len(sess):
-			ev = evs[i]
-		default:
-			a, b := evs[i], sess[j]
-			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
-				ev, takeSess = b, true
-			} else {
-				ev = a
-			}
-		}
-		if !ev.at.Before(t) {
-			break
-		}
-		if takeSess {
-			j++
-			if ev.kind == evSessionDown {
-				st = State{LastEvent: ev.at}
-			}
-			continue
-		}
-		i++
-		st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			st.Present = true
-			st.Path = ev.path
-			st.Agg = ev.agg
-			st.At = ev.at
-		case evWithdraw:
-			st.Present = false
-			st.Path = bgp.ASPath{}
-			st.Agg = nil
-		}
-	}
-	return st
-}
-
-// stateAtIgnoringSessions reconstructs state from a pair stream alone,
-// without honoring session downs, as the legacy pipeline did.
-func stateAtIgnoringSessions(evs []histEvent, t time.Time) State {
-	var st State
-	for _, ev := range evs {
-		if !ev.at.Before(t) {
-			break
-		}
-		st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			st.Present = true
-			st.Path = ev.path
-			st.Agg = ev.agg
-			st.At = ev.at
-		case evWithdraw:
-			st.Present = false
-		}
-	}
-	return st
+	c := pairCursor{evs: h.pairEvents(peer, p), sess: h.sessionEvents(peer)}
+	return c.advance(t)
 }
 
 // SeenAnnounced reports whether any peer announced p within [from, to).

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
 )
@@ -17,7 +16,7 @@ import (
 // time — O(intervals × peers × events). The columnar kernel inverts the
 // loop: it sweeps the event arena once in span-index (pair-key) order and,
 // per span, folds the pair's state forward through ALL of the prefix's
-// query instants in one pass with a resumable merge cursor. Scratch
+// query instants in one pass with the resumable pairCursor. Scratch
 // (per-interval state slots) is reused across spans; the per-(interval,
 // peer) decision is the shared peerDecision, so the only thing that
 // changes is the sweep order — which is exactly what the differential
@@ -42,82 +41,6 @@ type pairQuery struct {
 type prefixPlan struct {
 	ivs     []int       // interval indexes, in report order
 	queries []pairQuery // sorted ascending by at, so one cursor pass answers all
-}
-
-// stateCursor folds a pair's merged (pair, session) event stream forward
-// to successive non-decreasing query instants, replicating stateAtMerged
-// (or stateAtIgnoringSessions) exactly, one event at a time, resumably.
-type stateCursor struct {
-	evs, sess []histEvent
-	i, j      int
-	st        State
-	ignore    bool // stateAtIgnoringSessions semantics
-}
-
-// advance folds events strictly before t into the running state and
-// returns it. t must not decrease across calls on one cursor.
-func (c *stateCursor) advance(t time.Time) State {
-	if c.ignore {
-		for c.i < len(c.evs) {
-			ev := c.evs[c.i]
-			if !ev.at.Before(t) {
-				break
-			}
-			c.i++
-			c.st.LastEvent = ev.at
-			switch ev.kind {
-			case evAnnounce:
-				c.st.Present = true
-				c.st.Path = ev.path
-				c.st.Agg = ev.agg
-				c.st.At = ev.at
-			case evWithdraw:
-				c.st.Present = false
-			}
-		}
-		return c.st
-	}
-	for c.i < len(c.evs) || c.j < len(c.sess) {
-		var ev histEvent
-		takeSess := false
-		switch {
-		case c.i >= len(c.evs):
-			ev, takeSess = c.sess[c.j], true
-		case c.j >= len(c.sess):
-			ev = c.evs[c.i]
-		default:
-			a, b := c.evs[c.i], c.sess[c.j]
-			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
-				ev, takeSess = b, true
-			} else {
-				ev = a
-			}
-		}
-		if !ev.at.Before(t) {
-			break
-		}
-		if takeSess {
-			c.j++
-			if ev.kind == evSessionDown {
-				c.st = State{LastEvent: ev.at}
-			}
-			continue
-		}
-		c.i++
-		c.st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			c.st.Present = true
-			c.st.Path = ev.path
-			c.st.Agg = ev.agg
-			c.st.At = ev.at
-		case evWithdraw:
-			c.st.Present = false
-			c.st.Path = bgp.ASPath{}
-			c.st.Agg = nil
-		}
-	}
-	return c.st
 }
 
 // seenInSpan reports whether evs holds an announce in [from, to), using
@@ -178,12 +101,11 @@ func (d *Detector) sweepRange(h *History, intervals []beacon.Interval, plans []*
 		}
 		sp := h.pairs[k]
 		evs := h.events[sp.off : sp.off+sp.n]
-		var sess []histEvent
+		cur := pairCursor{evs: evs}
 		if !d.IgnoreSessionState {
 			ssp := h.sessSpans[pi]
-			sess = h.sess[ssp.off : ssp.off+ssp.n]
+			cur.sess = h.sess[ssp.off : ssp.off+ssp.n]
 		}
-		cur := stateCursor{evs: evs, sess: sess, ignore: d.IgnoreSessionState}
 		for _, q := range pl.queries {
 			if q.pre {
 				preScratch[q.slot] = cur.advance(q.at)

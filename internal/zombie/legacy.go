@@ -68,7 +68,8 @@ func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report
 			if !d.checkSucceeds(peer, iv) {
 				continue // looking glass unreachable for this check
 			}
-			st := stateAtIgnoringSessions(h.pairEvents(peer, iv.Prefix), effective)
+			c := pairCursor{evs: h.pairEvents(peer, iv.Prefix)} // no session stream
+			st := c.advance(effective)
 			if !st.Present {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
+	"zombiescope/internal/bgp"
 )
 
 // rowStore is what the row-sweep oracle reads: both the columnar History
@@ -104,4 +105,78 @@ func (d *LegacyDetector) legacyRows(s rowStore, intervals []beacon.Interval) *Re
 		}
 	}
 	return rep
+}
+
+// stateAtMerged and stateAtIgnoringSessions are the oracle's own state
+// folds, written independently of pairCursor so the kernel differential
+// compares two implementations of the state model, not one with itself.
+
+// stateAtMerged walks a pair stream and a session stream merged in event
+// order, stopping at t.
+func stateAtMerged(evs, sess []histEvent, t time.Time) State {
+	var st State
+	i, j := 0, 0
+	for i < len(evs) || j < len(sess) {
+		var ev histEvent
+		takeSess := false
+		switch {
+		case i >= len(evs):
+			ev, takeSess = sess[j], true
+		case j >= len(sess):
+			ev = evs[i]
+		default:
+			a, b := evs[i], sess[j]
+			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
+				ev, takeSess = b, true
+			} else {
+				ev = a
+			}
+		}
+		if !ev.at.Before(t) {
+			break
+		}
+		if takeSess {
+			j++
+			if ev.kind == evSessionDown {
+				st = State{LastEvent: ev.at}
+			}
+			continue
+		}
+		i++
+		st.LastEvent = ev.at
+		switch ev.kind {
+		case evAnnounce:
+			st.Present = true
+			st.Path = ev.path
+			st.Agg = ev.agg
+			st.At = ev.at
+		case evWithdraw:
+			st.Present = false
+			st.Path = bgp.ASPath{}
+			st.Agg = nil
+		}
+	}
+	return st
+}
+
+// stateAtIgnoringSessions reconstructs state from a pair stream alone,
+// without honoring session downs, as the legacy pipeline did.
+func stateAtIgnoringSessions(evs []histEvent, t time.Time) State {
+	var st State
+	for _, ev := range evs {
+		if !ev.at.Before(t) {
+			break
+		}
+		st.LastEvent = ev.at
+		switch ev.kind {
+		case evAnnounce:
+			st.Present = true
+			st.Path = ev.path
+			st.Agg = ev.agg
+			st.At = ev.at
+		case evWithdraw:
+			st.Present = false
+		}
+	}
+	return st
 }

@@ -2,6 +2,7 @@ package zombie
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,23 +18,29 @@ import (
 // the detection threshold after a withdrawal, so operators of infected
 // ASes can be notified while the stuck route is still doing damage.
 //
-// Feed it records with Observe (they may arrive slightly out of order
-// within a clock-skew bound) and drive its clock with Advance; emitted
-// events arrive on the callback in detection-time order. The zero value is
-// not usable; construct with NewStreamDetector.
+// It runs on the batch state model: records become events
+// through recordEvents, events fold into each pair's State through the
+// shared transition, and a check builds its routes with the Detector's
+// route decision. Feed it records with Observe (they may arrive slightly
+// out of order within a clock-skew bound) and drive its clock with
+// Advance; emitted events arrive on the callback in detection-time order,
+// and the events of one check in canonical peer order — the route order
+// of the batch report's outbreak. The zero value is not usable; construct
+// with NewStreamDetector.
 type StreamDetector struct {
-	threshold time.Duration
-	tolerance time.Duration
-	onZombie  func(ZombieEvent)
+	// det carries the threshold and clock tolerance of the route
+	// decision the stream shares with the batch kernel.
+	det      Detector
+	onZombie func(ZombieEvent)
+	track    TrackSet
 
-	intervals map[netip.Prefix][]beacon.Interval
-	track     TrackSet
-
-	// state per (peer, prefix).
-	state map[streamKey]*streamState
+	// State per (peer, prefix): by peer for lookups and session downs,
+	// and by prefix in canonical peer order, the order a check visits
+	// and emits them in (the batch report's route order).
+	byPeer   map[PeerID]map[netip.Prefix]*streamPair
+	byPrefix map[netip.Prefix][]*streamPair
 	// pending detection checks, time-ordered.
-	checks checkQueue
-	now    time.Time
+	checks []pendingCheck
 
 	// ingestNanos is the stamp of the record currently being processed,
 	// set by SetIngestStamp before Advance/Observe and copied onto every
@@ -62,115 +69,76 @@ type ZombieEvent struct {
 	IngestNanos int64
 }
 
-type streamKey struct {
-	peer   PeerID
-	prefix netip.Prefix
+// streamPair is the live state of one (peer, prefix): the shared State,
+// plus the stream-only record that a withdrawal or session down once
+// removed the route, for resurrection marking.
+type streamPair struct {
+	peer      PeerID
+	st        State
+	withdrawn bool
 }
 
-type streamState struct {
-	present     bool
-	path        bgp.ASPath
-	agg         *bgp.Aggregator
-	announcedAt time.Time
-	withdrawnAt time.Time // collector-observed withdrawal, for resurrection marking
+// apply folds one event into the pair through the shared transition.
+func (sp *streamPair) apply(ev *histEvent) {
+	was := sp.st.Present
+	sp.st.apply(ev)
+	sp.withdrawn = sp.withdrawn || (was && !sp.st.Present)
 }
 
 type pendingCheck struct {
 	at       time.Time
 	interval beacon.Interval
-	seq      int
 }
-
-type checkQueue []pendingCheck
 
 // NewStreamDetector builds a streaming detector for the given beacon
 // intervals. onZombie is called synchronously from Advance.
 func NewStreamDetector(intervals []beacon.Interval, threshold time.Duration, onZombie func(ZombieEvent)) *StreamDetector {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
 	sd := &StreamDetector{
-		threshold: threshold,
-		tolerance: time.Minute,
-		onZombie:  onZombie,
-		intervals: make(map[netip.Prefix][]beacon.Interval),
-		track:     make(TrackSet),
-		state:     make(map[streamKey]*streamState),
+		det:      Detector{Threshold: threshold},
+		onZombie: onZombie,
+		track:    make(TrackSet),
+		byPeer:   make(map[PeerID]map[netip.Prefix]*streamPair),
+		byPrefix: make(map[netip.Prefix][]*streamPair),
 	}
-	seq := 0
 	for _, iv := range intervals {
-		sd.intervals[iv.Prefix] = append(sd.intervals[iv.Prefix], iv)
 		sd.track[iv.Prefix] = true
-		sd.checks = append(sd.checks, pendingCheck{
-			at:       iv.WithdrawAt.Add(threshold),
-			interval: iv,
-			seq:      seq,
-		})
-		seq++
+		sd.checks = append(sd.checks, pendingCheck{at: iv.WithdrawAt.Add(sd.det.threshold()), interval: iv})
 	}
-	sort.Slice(sd.checks, func(i, j int) bool {
-		if !sd.checks[i].at.Equal(sd.checks[j].at) {
-			return sd.checks[i].at.Before(sd.checks[j].at)
-		}
-		return sd.checks[i].seq < sd.checks[j].seq
-	})
+	sort.SliceStable(sd.checks, func(i, j int) bool { return sd.checks[i].at.Before(sd.checks[j].at) })
 	return sd
 }
 
 // Observe ingests one collector record. Records timestamped after the
 // current Advance watermark are fine (they usually are); records for
-// untracked prefixes are ignored.
+// untracked prefixes are ignored, and a record that fails to decode
+// changes nothing. Events apply in arrival order, so the archive position
+// recordEvents stamps is unused.
 func (sd *StreamDetector) Observe(collectorName string, rec mrt.Record) {
-	switch r := rec.(type) {
-	case *mrt.BGP4MPMessage:
-		u, err := r.Update()
-		if err != nil {
-			return // corrupted records are skipped, as in the batch path
-		}
-		peer := PeerID{Collector: collectorName, AS: r.PeerAS, Addr: r.PeerIP}
-		for _, p := range u.WithdrawnAll() {
-			if sd.track[p] {
-				sd.withdraw(peer, p, r.Timestamp)
-			}
-		}
-		for _, p := range u.Announced() {
-			if sd.track[p] {
-				sd.announce(peer, p, r.Timestamp, u.Attrs.ASPath, u.Attrs.Aggregator)
-			}
-		}
-	case *mrt.BGP4MPStateChange:
-		if !r.Down() {
-			return
-		}
-		peer := PeerID{Collector: collectorName, AS: r.PeerAS, Addr: r.PeerIP}
-		// Session down clears every route of the peer.
-		for k, st := range sd.state {
-			if k.peer == peer && st.present {
-				st.present = false
-				st.withdrawnAt = r.Timestamp
-			}
-		}
-	}
+	_ = recordEvents(collectorName, 0, rec, sd.track, nil, sd.prefixEvent, sd.sessionEvent)
 }
 
-func (sd *StreamDetector) announce(peer PeerID, p netip.Prefix, at time.Time, path bgp.ASPath, agg *bgp.Aggregator) {
-	k := streamKey{peer: peer, prefix: p}
-	st := sd.state[k]
-	if st == nil {
-		st = &streamState{}
-		sd.state[k] = st
+// prefixEvent applies an announcement or withdrawal to its pair.
+func (sd *StreamDetector) prefixEvent(peer PeerID, p netip.Prefix, ev histEvent) {
+	pairs := sd.byPeer[peer]
+	if pairs == nil {
+		pairs = make(map[netip.Prefix]*streamPair)
+		sd.byPeer[peer] = pairs
 	}
-	st.present = true
-	st.path = path
-	st.agg = agg
-	st.announcedAt = at
+	sp := pairs[p]
+	if sp == nil {
+		sp = &streamPair{peer: peer}
+		pairs[p] = sp
+		ps := sd.byPrefix[p]
+		i, _ := slices.BinarySearchFunc(ps, peer, func(x *streamPair, peer PeerID) int { return comparePeers(x.peer, peer) })
+		sd.byPrefix[p] = slices.Insert(ps, i, sp)
+	}
+	sp.apply(&ev)
 }
 
-func (sd *StreamDetector) withdraw(peer PeerID, p netip.Prefix, at time.Time) {
-	k := streamKey{peer: peer, prefix: p}
-	if st := sd.state[k]; st != nil && st.present {
-		st.present = false
-		st.withdrawnAt = at
+// sessionEvent applies a session transition to every pair of the peer.
+func (sd *StreamDetector) sessionEvent(peer PeerID, ev histEvent) {
+	for _, sp := range sd.byPeer[peer] {
+		sp.apply(&ev)
 	}
 }
 
@@ -178,7 +146,6 @@ func (sd *StreamDetector) withdraw(peer PeerID, p netip.Prefix, at time.Time) {
 // instant has passed, in order. Call it with the record timestamps as the
 // stream progresses (and once with a late timestamp to flush).
 func (sd *StreamDetector) Advance(now time.Time) {
-	sd.now = now
 	for len(sd.checks) > 0 && !sd.checks[0].at.After(now) {
 		check := sd.checks[0]
 		sd.checks = sd.checks[1:]
@@ -186,37 +153,34 @@ func (sd *StreamDetector) Advance(now time.Time) {
 	}
 }
 
+// fire emits every route of the check's prefix still present, in
+// canonical peer order, each built by the batch route decision.
 func (sd *StreamDetector) fire(check pendingCheck) {
+	if sd.onZombie == nil {
+		return
+	}
 	iv := check.interval
-	for k, st := range sd.state {
-		if k.prefix != iv.Prefix || !st.present {
+	for _, sp := range sd.byPrefix[iv.Prefix] {
+		if !sp.st.Present {
 			continue
 		}
-		announcedAt := st.announcedAt
-		if st.agg != nil {
-			if t, ok := beacon.DecodeAggregatorClock(st.agg.Addr, st.announcedAt); ok {
-				announcedAt = t
-			}
-		}
-		ev := ZombieEvent{
+		r := sd.det.zombieRoute(sp.peer, iv, sp.st)
+		sd.onZombie(ZombieEvent{
 			IngestNanos: sd.ingestNanos,
-			Peer:        k.peer,
-			Prefix:      iv.Prefix,
-			Interval:    iv,
-			Path:        st.path,
-			AnnouncedAt: announcedAt,
+			Peer:        r.Peer,
+			Prefix:      r.Prefix,
+			Interval:    r.Interval,
+			Path:        r.Path,
+			AnnouncedAt: r.AnnouncedAt,
 			DetectedAt:  check.at,
-			Duplicate:   announcedAt.Before(iv.AnnounceAt.Add(-sd.tolerance)),
+			Duplicate:   r.Duplicate,
 			// The route had been withdrawn at this peer and came back
 			// after the interval's withdrawal without a new beacon
 			// announcement: a live resurrection.
-			Resurrected: !st.withdrawnAt.IsZero() &&
-				st.announcedAt.After(iv.WithdrawAt) &&
-				announcedAt.Before(st.announcedAt.Add(-sd.tolerance)),
-		}
-		if sd.onZombie != nil {
-			sd.onZombie(ev)
-		}
+			Resurrected: sp.withdrawn &&
+				sp.st.At.After(iv.WithdrawAt) &&
+				r.AnnouncedAt.Before(sp.st.At.Add(-sd.det.tolerance())),
+		})
 	}
 }
 

@@ -2,7 +2,11 @@ package zombie
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,16 +15,26 @@ import (
 	"zombiescope/internal/mrt"
 )
 
-// feedStream replays an archive into a StreamDetector, advancing the
-// clock with record timestamps, and returns the emitted events.
-func feedStream(t *testing.T, updates map[string][]byte, intervals []beacon.Interval, threshold time.Duration) []ZombieEvent {
+// sourcedRecord is one decoded record tagged with its collector.
+type sourcedRecord struct {
+	name string
+	rec  mrt.Record
+}
+
+// timeMerged decodes per-collector archives into one stream ordered by
+// record time, as a live consumer of several collectors sees it: a
+// stable sort over the collectors concatenated in sorted-name order, so
+// ties keep name order and each collector keeps its archive order.
+func timeMerged(t *testing.T, updates map[string][]byte) []sourcedRecord {
 	t.Helper()
-	var events []ZombieEvent
-	sd := NewStreamDetector(intervals, threshold, func(ev ZombieEvent) {
-		events = append(events, ev)
-	})
-	for name, data := range updates {
-		rd := mrt.NewReader(bytes.NewReader(data))
+	names := make([]string, 0, len(updates))
+	for name := range updates {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var stream []sourcedRecord
+	for _, name := range names {
+		rd := mrt.NewReader(bytes.NewReader(updates[name]))
 		for {
 			rec, err := rd.Next()
 			if err == io.EOF {
@@ -29,9 +43,27 @@ func feedStream(t *testing.T, updates map[string][]byte, intervals []beacon.Inte
 			if err != nil {
 				t.Fatal(err)
 			}
-			sd.Advance(rec.RecordTime())
-			sd.Observe(name, rec)
+			stream = append(stream, sourcedRecord{name, rec})
 		}
+	}
+	sort.SliceStable(stream, func(i, j int) bool {
+		return stream[i].rec.RecordTime().Before(stream[j].rec.RecordTime())
+	})
+	return stream
+}
+
+// feedStream replays archives, time-merged across collectors, into a
+// StreamDetector, advancing the clock with record timestamps, and
+// returns the emitted events.
+func feedStream(t *testing.T, updates map[string][]byte, intervals []beacon.Interval, threshold time.Duration) []ZombieEvent {
+	t.Helper()
+	var events []ZombieEvent
+	sd := NewStreamDetector(intervals, threshold, func(ev ZombieEvent) {
+		events = append(events, ev)
+	})
+	for _, sr := range timeMerged(t, updates) {
+		sd.Advance(sr.rec.RecordTime())
+		sd.Observe(sr.name, sr.rec)
 	}
 	// Flush remaining checks.
 	sd.Advance(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -39,6 +71,58 @@ func feedStream(t *testing.T, updates map[string][]byte, intervals []beacon.Inte
 		t.Fatalf("%d checks still pending after flush", sd.PendingChecks())
 	}
 	return events
+}
+
+// TestStreamMatchesBatchDifferential holds the StreamDetector to the
+// batch Detector on the randomized multi-collector scenarios: grouped by
+// interval, each check's emissions must equal the batch outbreak's
+// routes in order, and a second run over the same stream must emit the
+// identical sequence (alert order, and so zombie-channel sequence
+// numbers and journal contents, are reproducible).
+func TestStreamMatchesBatchDifferential(t *testing.T) {
+	const scenarios = 50
+	thresholds := []time.Duration{30 * time.Minute, 90 * time.Minute, 3 * time.Hour}
+	type ivKey struct {
+		prefix netip.Prefix
+		at     int64
+	}
+	keyOf := func(iv beacon.Interval) ivKey { return ivKey{iv.Prefix, iv.AnnounceAt.UnixNano()} }
+	for seed := uint64(1); seed <= scenarios; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sc := genScenario(t, seed)
+			for _, th := range thresholds {
+				batch, err := (&Detector{Threshold: th}).Detect(sc.Updates, sc.Intervals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := feedStream(t, sc.Updates, sc.Intervals, th)
+				if again := feedStream(t, sc.Updates, sc.Intervals, th); !reflect.DeepEqual(again, events) {
+					t.Errorf("threshold %v: two runs over the same stream emit different sequences", th)
+				}
+				groups := make(map[ivKey][]ZombieEvent)
+				for _, ev := range events {
+					groups[keyOf(ev.Interval)] = append(groups[keyOf(ev.Interval)], ev)
+				}
+				if len(groups) != len(batch.Outbreaks) {
+					t.Errorf("threshold %v: stream fired %d intervals, batch has %d outbreaks", th, len(groups), len(batch.Outbreaks))
+				}
+				for _, ob := range batch.Outbreaks {
+					got := groups[keyOf(ob.Interval)]
+					if len(got) != len(ob.Routes) {
+						t.Errorf("threshold %v, interval %v: stream emitted %d routes, batch %d", th, ob.Interval.AnnounceAt, len(got), len(ob.Routes))
+						continue
+					}
+					for i, r := range ob.Routes {
+						ev := got[i]
+						if ev.Peer != r.Peer || ev.Prefix != r.Prefix || ev.Interval != r.Interval ||
+							!ev.Path.Equal(r.Path) || !ev.AnnouncedAt.Equal(r.AnnouncedAt) || ev.Duplicate != r.Duplicate {
+							t.Errorf("threshold %v, interval %v, route %d:\n stream %+v\n batch  %+v", th, ob.Interval.AnnounceAt, i, ev, r)
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestStreamDetectorMatchesBatch(t *testing.T) {
